@@ -1,9 +1,11 @@
-"""Hot inner loops of the vertex enumerator.
+"""Facet-adjacency test of the vertex enumerator.
 
-The combinatorial adjacency test between vertices on a freshly cut facet
-is quadratic in the facet size and dominates enumeration time, so it is
-compiled with numba when available.  Set PPE_NO_NUMBA=1 to force the
-pure-numpy fallback (used by the benchmark and as a safety hatch).
+After a cut, two vertices on the fresh facet are joined by an edge when
+their active sets share enough rows and no third facet vertex's active
+set contains the shared rows.  The test is quadratic in the facet size.
+It is compiled with numba when numba is installed (the optional `numba`
+extra); otherwise, or with PPE_NO_NUMBA=1, the vectorized numpy version
+runs.  Both return the same pairs in the same order.
 
 Active constraint sets are stored as multi-word uint64 bitmasks, one row
 bit per inserted halfspace.
@@ -22,38 +24,53 @@ if USE_NUMBA:
     except ImportError:  # pragma: no cover
         USE_NUMBA = False
 
+_BLOCK = 1_000_000
+
 
 def adjacent_pairs_numpy(masks: np.ndarray, min_common: int) -> np.ndarray:
     """Combinatorial adjacency among facet vertices, vectorized.
 
     Two vertices are adjacent when their common active set has at least
     `min_common` rows and no third vertex's active set dominates it.
-    Returns an (e, 2) int64 array of index pairs with i < j.
+    Returns an (e, 2) int64 array of index pairs with i < j, in
+    lexicographic order.
     """
     f, w = masks.shape
     if f < 2:
         return np.zeros((0, 2), dtype=np.int64)
+    # work in blocks of about _BLOCK array elements, to bound the buffers
     ii_parts, jj_parts = [], []
-    chunk = max(1, 8_000_000 // (f * w))  # bound the broadcast buffer
+    chunk = max(1, _BLOCK // (f * w))
     for lo in range(0, f, chunk):
         hi = min(lo + chunk, f)
-        common = masks[lo:hi, None, :] & masks[None, :, :]
-        counts = np.bitwise_count(common).sum(axis=2, dtype=np.int64)
-        a, b = np.where(counts >= min_common)
-        keep = a + lo < b
+        common = np.bitwise_count(masks[lo:hi, None, :] & masks[None, lo:, :])
+        counts = common.sum(axis=2, dtype=np.uint16)
+        a, b = np.nonzero(counts >= min_common)
+        keep = a < b  # b counts from lo, as a does
         ii_parts.append(a[keep] + lo)
-        jj_parts.append(b[keep])
+        jj_parts.append(b[keep] + lo)
     ii = np.concatenate(ii_parts)
     jj = np.concatenate(jj_parts)
-    out = []
-    for i, j in zip(ii, jj):
-        c = masks[i] & masks[j]
-        dominated = np.all((masks & c) == c, axis=1)
-        if int(dominated.sum()) <= 2:  # only i and j themselves
-            out.append((i, j))
-    if not out:
-        return np.zeros((0, 2), dtype=np.int64)
-    return np.array(out, dtype=np.int64)
+    # a third vertex whose active set contains the common rows of (i, j)
+    # shares them with i, so it is one of i's candidate partners: only
+    # those are tested
+    src, dst = np.concatenate([ii, jj]), np.concatenate([jj, ii])
+    by_src = np.argsort(src, kind="stable")
+    dst = dst[by_src]
+    start = np.searchsorted(src[by_src], np.arange(f + 1))
+    keep = np.zeros(len(ii), dtype=bool)
+    chunk = max(1, _BLOCK // max(1, int(np.diff(start).max(initial=0))))
+    for lo in range(0, len(ii), chunk):
+        i, j = ii[lo : lo + chunk], jj[lo : lo + chunk]
+        deg = start[i + 1] - start[i]
+        pair = np.repeat(np.arange(len(i)), deg)
+        # pair p's slots in t hold dst[start[i[p]] : start[i[p] + 1]]
+        offset = np.cumsum(deg) - deg
+        t = dst[np.repeat(start[i] - offset, deg) + np.arange(len(pair))]
+        c = masks[i[pair]] & masks[j[pair]]
+        third = np.all((masks[t] & c) == c, axis=1) & (t != j[pair])
+        keep[lo : lo + chunk] = np.bincount(pair[third], minlength=len(i)) == 0
+    return np.column_stack([ii[keep], jj[keep]]).astype(np.int64)
 
 
 if USE_NUMBA:

@@ -11,9 +11,7 @@ outer bound on the equilibrium payoff set.
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -199,13 +197,6 @@ def enforceable_payoffs(
     return convex_hull(pts, tol), vs.truncated
 
 
-def _resolve_threads() -> int:
-    env = os.environ.get("PPE_THREADS", "").strip()
-    if env:
-        return max(1, int(env))
-    return min(4, os.cpu_count() or 1)
-
-
 def apply_B(
     game: StageGame,
     delta: float,
@@ -213,28 +204,16 @@ def apply_B(
     theta: float = 0.0,
     tol: Tolerances = DEFAULT_TOL,
     cap: int = DEFAULT_VERTEX_CAP,
-    executor: ThreadPoolExecutor | None = None,
 ) -> BResult:
     """One application of the set operator, with optional simplification.
 
-    Per-profile sets are computed independently (concurrently when an
-    executor is given) and merged in fixed profile order, so the result
-    does not depend on scheduling.
+    Per-profile sets are computed and merged in fixed profile order.
     """
-    profiles = game.profiles()
-
-    def one(a):
-        return enforceable_payoffs(game, a, delta, w, tol, cap)
-
-    if executor is not None:
-        results = list(executor.map(one, profiles))
-    else:
-        results = [one(a) for a in profiles]
-
     per_action = {}
     pts = []
     truncated = False
-    for a, (poly, trunc) in zip(profiles, results):
+    for a in game.profiles():
+        poly, trunc = enforceable_payoffs(game, a, delta, w, tol, cap)
         label = (game.action_labels[0][a[0]], game.action_labels[1][a[1]])
         per_action[label] = poly
         truncated = truncated or trunc
@@ -274,67 +253,59 @@ def solve(game: StageGame, config: SolverConfig) -> Report:
             "the individually rational feasible set is already empty",
         )
 
-    threads = _resolve_threads()
-    executor = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
     converged = False
     stop_reason = "max_iter"
     message = ""
-    try:
-        for k in range(1, config.max_iter + 1):
-            t0 = time.perf_counter()
-            res = apply_B(
-                game, config.delta, w, config.theta, tol, config.vertex_cap, executor
+    for k in range(1, config.max_iter + 1):
+        t0 = time.perf_counter()
+        res = apply_B(game, config.delta, w, config.theta, tol, config.vertex_cap)
+        wall_ms = (time.perf_counter() - t0) * 1e3
+        # boundary simplification trims vertices inward, so a later
+        # application of the operator may partially regrow past the
+        # previous iterate; clipping restores the monotone descent
+        new = intersect_polygons(res.set, w, tol)
+        a_prev, a_new = area(w), area(new)
+        hd = hausdorff(w, new) if not new.is_empty else float("nan")
+        enforceable = {lab: not p.is_empty for lab, p in res.per_action.items()}
+        trace.append(
+            IterationTrace(
+                k, new.vertices, a_new, a_prev - a_new, hd, enforceable, wall_ms
             )
-            wall_ms = (time.perf_counter() - t0) * 1e3
-            # boundary simplification trims vertices inward, so a later
-            # application of the operator may partially regrow past the
-            # previous iterate; clipping restores the monotone descent
-            new = intersect_polygons(res.set, w, tol)
-            a_prev, a_new = area(w), area(new)
-            hd = hausdorff(w, new) if not new.is_empty else float("nan")
-            enforceable = {lab: not p.is_empty for lab, p in res.per_action.items()}
-            trace.append(
-                IterationTrace(
-                    k, new.vertices, a_new, a_prev - a_new, hd, enforceable, wall_ms
-                )
+        )
+        if res.truncated:
+            stop_reason = "truncated"
+            message = (
+                "vertex cap exceeded: the result is not a valid upper bound"
             )
-            if res.truncated:
-                stop_reason = "truncated"
-                message = (
-                    "vertex cap exceeded: the result is not a valid upper bound"
-                )
-                w = new
-                break
-            if new.is_empty:
-                stop_reason = "empty_set"
-                message = (
-                    "the operator returned the empty set: this outer method "
-                    "found no pure-strategy equilibrium payoffs"
-                )
-                w = new
-                break
-            if a_new >= config.epsilon:
-                # the relative guard keeps a steady geometric collapse from
-                # passing as convergence while its area is still just above
-                # epsilon; real fixed points have vanishing relative change
-                if (
-                    abs(a_prev - a_new) < config.epsilon
-                    and abs(a_prev - a_new) <= 0.1 * a_new
-                ):
-                    converged = True
-                    stop_reason = "area_epsilon"
-                    w = new
-                    break
-            else:
-                if hd < config.hausdorff_epsilon:
-                    converged = True
-                    stop_reason = "hausdorff_epsilon"
-                    w = new
-                    break
             w = new
-    finally:
-        if executor is not None:
-            executor.shutdown()
+            break
+        if new.is_empty:
+            stop_reason = "empty_set"
+            message = (
+                "the operator returned the empty set: this outer method "
+                "found no pure-strategy equilibrium payoffs"
+            )
+            w = new
+            break
+        if a_new >= config.epsilon:
+            # the relative guard keeps a steady geometric collapse from
+            # passing as convergence while its area is still just above
+            # epsilon; real fixed points have vanishing relative change
+            if (
+                abs(a_prev - a_new) < config.epsilon
+                and abs(a_prev - a_new) <= 0.1 * a_new
+            ):
+                converged = True
+                stop_reason = "area_epsilon"
+                w = new
+                break
+        else:
+            if hd < config.hausdorff_epsilon:
+                converged = True
+                stop_reason = "hausdorff_epsilon"
+                w = new
+                break
+        w = new
     return Report(tuple(trace), converged, stop_reason, w, config, tol, message)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 
 class DegenerateInputError(ValueError):
@@ -101,28 +102,58 @@ class PolygonH:
         return self.normals.shape[0]
 
 
-def _cross(o, a, b):
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+def greedy_cluster(points: np.ndarray, eps: float):
+    """Greedy lexicographic clustering of points in any dimension.
 
-
-def _dedup_points(pts: np.ndarray, eps: float) -> np.ndarray:
-    """Greedy merge of points within eps, deterministic order."""
-    if len(pts) == 0:
-        return pts
-    order = np.lexsort((pts[:, 1], pts[:, 0]))
-    pts = pts[order]
-    kept = []
-    for p in pts:
-        dup = False
-        for q in reversed(kept):
-            if p[0] - q[0] > eps:
-                break  # sorted by x: nothing earlier can be within eps
-            if np.hypot(*(p - q)) <= eps:
-                dup = True
-                break
-        if not dup:
-            kept.append(p)
-    return np.array(kept)
+    Points are visited in lexicographic order.  Each joins the most
+    recently founded cluster whose founding point lies within eps of it,
+    or else founds a new cluster.  Returns (labels, founders): the
+    cluster of every point, and the index of each cluster's founding
+    point, clusters numbered in order of creation.
+    """
+    n = len(points)
+    order = np.lexsort(points.T[::-1])
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
+    # the margin keeps every pair within eps among the candidates
+    pairs = cKDTree(points).query_pairs(eps * (1 + 1e-6), output_type="ndarray")
+    near = np.linalg.norm(points[pairs[:, 0]] - points[pairs[:, 1]], axis=1) <= eps
+    i, j = pairs[near].T
+    if len(i) == 0:
+        return rank, order  # every point founds its own cluster
+    # head: the lexicographically first of a point and its close partners.
+    # A head's group that no close pair leaves and in which every pair is
+    # close is clustered by the greedy scan into one cluster founded by
+    # the head; only the other groups need the scan itself.
+    head = rank.copy()
+    np.minimum.at(head, i, rank[j])
+    np.minimum.at(head, j, rank[i])
+    head = order[head]
+    size = np.bincount(head, minlength=n)
+    inner = head[i] == head[j]
+    tangled = np.bincount(head[i[inner]], minlength=n) != size * (size - 1) // 2
+    tangled[head[i[~inner]]] = True
+    tangled[head[j[~inner]]] = True
+    joins = head  # founding point of each point's cluster
+    slow = np.flatnonzero(tangled[head])
+    if len(slow):
+        src, dst = np.concatenate([i, j]), np.concatenate([j, i])
+        by_src = np.argsort(src, kind="stable")
+        src, dst = src[by_src], dst[by_src]
+        starts = np.searchsorted(src, np.arange(n + 1))
+        founder = np.zeros(n, dtype=bool)  # set as the scan reaches founders
+        for idx in slow[np.argsort(rank[slow])]:
+            nbrs = dst[starts[idx] : starts[idx + 1]]
+            nbrs = nbrs[founder[nbrs]]
+            if len(nbrs):
+                joins[idx] = nbrs[np.argmax(rank[nbrs])]
+            else:
+                joins[idx] = idx
+                founder[idx] = True
+    founders = order[joins[order] == order]
+    label_of = np.full(n, -1, dtype=np.int64)
+    label_of[founders] = np.arange(len(founders))
+    return label_of[joins], founders
 
 
 def convex_hull(points, tol: Tolerances = DEFAULT_TOL) -> PolygonV:
@@ -130,7 +161,7 @@ def convex_hull(points, tol: Tolerances = DEFAULT_TOL) -> PolygonV:
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     if len(pts) == 0:
         return PolygonV.empty()
-    pts = _dedup_points(pts, tol.eps_point)
+    pts = pts[greedy_cluster(pts, tol.eps_point)[1]]  # merged, sorted
     if len(pts) == 1:
         return PolygonV(pts)
     if len(pts) == 2:
@@ -140,18 +171,20 @@ def convex_hull(points, tol: Tolerances = DEFAULT_TOL) -> PolygonV:
         out = []
         for p in seq:
             while len(out) >= 2:
-                o, a = out[-2], out[-1]
-                c = _cross(o, a, p)
+                (ox, oy), (ax, ay) = out[-2], out[-1]
+                c = (ax - ox) * (p[1] - oy) - (ay - oy) * (p[0] - ox)
                 # drop a if it is (near-)collinear or a right turn
-                if c <= tol.eps_side * max(np.hypot(*(a - o)), 1e-300):
+                if c <= tol.eps_side * max(np.hypot(ax - ox, ay - oy), 1e-300):
                     out.pop()
                 else:
                     break
             out.append(p)
         return out
 
-    lower = chain(pts)
-    upper = chain(pts[::-1])
+    # Python floats: the scan is scalar arithmetic, cheaper than on numpy rows
+    seq = pts.tolist()
+    lower = chain(seq)
+    upper = chain(seq[::-1])
     verts = np.array(lower[:-1] + upper[:-1])
     if len(verts) <= 2:
         # all points collinear: keep the two extreme ones
@@ -295,30 +328,34 @@ def area(p: PolygonV) -> float:
     return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
 
-def _point_segment_dist(q, a, b) -> float:
+def _point_segment_dists(q: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Distances from each point q (n, 2) to each segment a[k]b[k]: (n, m)."""
     ab = b - a
-    denom = float(ab @ ab)
-    if denom == 0.0:
-        return float(np.hypot(*(q - a)))
-    t = np.clip(float((q - a) @ ab) / denom, 0.0, 1.0)
-    return float(np.hypot(*(q - (a + t * ab))))
+    denom = np.vecdot(ab, ab)
+    t = np.vecdot(q[:, None, :] - a, ab) / np.where(denom == 0.0, 1.0, denom)
+    d = q[:, None, :] - (a + np.clip(t, 0.0, 1.0)[..., None] * ab)
+    return np.hypot(d[..., 0], d[..., 1])
+
+
+def _dists_to_polygon(qs: np.ndarray, p: PolygonV) -> np.ndarray:
+    """Distance from each point of qs (n, 2) to a nonempty convex polygon."""
+    if p.is_empty:
+        raise ValueError("empty polygon")
+    v = p.vertices
+    if p.is_point:
+        return np.hypot(qs[:, 0] - v[0, 0], qs[:, 1] - v[0, 1])
+    if p.is_segment:
+        return _point_segment_dists(qs, v[:1], v[1:])[:, 0]
+    h = to_halfspaces(p)
+    d = _point_segment_dists(qs, v, np.roll(v, -1, axis=0)).min(axis=1)
+    d[np.all(qs @ h.normals.T - h.offsets <= 0.0, axis=1)] = 0.0
+    return d
 
 
 def dist_point_polygon(q, p: PolygonV) -> float:
     """Distance from a point to a nonempty convex polygon."""
-    if p.is_empty:
-        raise ValueError("empty polygon")
-    q = np.asarray(q, dtype=float)
-    v = p.vertices
-    if p.is_point:
-        return float(np.hypot(*(q - v[0])))
-    if p.is_segment:
-        return _point_segment_dist(q, v[0], v[1])
-    h = to_halfspaces(p)
-    if np.all(h.normals @ q - h.offsets <= 0.0):
-        return 0.0
-    m = len(v)
-    return min(_point_segment_dist(q, v[k], v[(k + 1) % m]) for k in range(m))
+    q = np.asarray(q, dtype=float).reshape(1, 2)
+    return float(_dists_to_polygon(q, p)[0])
 
 
 def hausdorff(p: PolygonV, q: PolygonV) -> float:
@@ -329,9 +366,9 @@ def hausdorff(p: PolygonV, q: PolygonV) -> float:
     """
     if p.is_empty or q.is_empty:
         raise ValueError("hausdorff needs nonempty inputs")
-    d_pq = max(dist_point_polygon(v, q) for v in p.vertices)
-    d_qp = max(dist_point_polygon(v, p) for v in q.vertices)
-    return max(d_pq, d_qp)
+    d_pq = _dists_to_polygon(p.vertices, q).max()
+    d_qp = _dists_to_polygon(q.vertices, p).max()
+    return float(max(d_pq, d_qp))
 
 
 def _rdp_chain(pts: np.ndarray, theta: float) -> list:
@@ -339,7 +376,7 @@ def _rdp_chain(pts: np.ndarray, theta: float) -> list:
     if len(pts) <= 2:
         return list(pts)
     a, b = pts[0], pts[-1]
-    d = np.array([_point_segment_dist(p, a, b) for p in pts[1:-1]])
+    d = _point_segment_dists(pts[1:-1], a[None], b[None])[:, 0]
     k = int(np.argmax(d))
     if d[k] <= theta:
         return [a, b]

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from . import _kernels
-from .geometry import PolygonV, Tolerances, DEFAULT_TOL, halfspace_rows
+from .geometry import PolygonV, Tolerances, DEFAULT_TOL, greedy_cluster, halfspace_rows
 
 DEFAULT_VERTEX_CAP = 200_000
 
@@ -100,32 +100,14 @@ class _DDState:
 
 
 def _sorted_unique_edges(edges: np.ndarray) -> np.ndarray:
+    """Rows (i, j) with i < j, deduplicated, in lexicographic order."""
     if len(edges) == 0:
         return np.zeros((0, 2), dtype=np.int64)
     e = np.sort(edges, axis=1)
-    return np.unique(e, axis=0)
-
-
-def _cluster_points(points: np.ndarray, eps: float):
-    """Greedy lexicographic clustering; returns (labels, n_clusters)."""
-    n = len(points)
-    order = np.lexsort(points.T[::-1])
-    labels = np.full(n, -1, dtype=np.int64)
-    reps: list[np.ndarray] = []
-    for idx in order:
-        p = points[idx]
-        found = -1
-        for c in range(len(reps) - 1, -1, -1):
-            if p[0] - reps[c][0] > eps:
-                break
-            if np.linalg.norm(p - reps[c]) <= eps:
-                found = c
-                break
-        if found < 0:
-            reps.append(p)
-            found = len(reps) - 1
-        labels[idx] = found
-    return labels, len(reps)
+    n = int(e[:, 1].max()) + 1
+    key = np.sort(e[:, 0] * n + e[:, 1])
+    key = key[np.concatenate([[True], key[1:] != key[:-1]])]
+    return np.column_stack([key // n, key % n])
 
 
 def _insert_halfspace(
@@ -176,16 +158,13 @@ def _insert_halfspace(
         cut_masks = (state.masks[u] & state.masks[v]) | bit
 
         # merge coincident cut points into clusters (centroid + mask union)
-        labels, n_clusters = _cluster_points(cut_pts, tol.eps_point)
+        labels, founders = greedy_cluster(cut_pts, tol.eps_point)
+        n_clusters = len(founders)
         new_pts = np.zeros((n_clusters, dim))
         new_masks = np.zeros((n_clusters, words), dtype=np.uint64)
-        counts = np.zeros(n_clusters)
-        for k in range(len(cut_pts)):
-            c = labels[k]
-            new_pts[c] += cut_pts[k]
-            new_masks[c] |= cut_masks[k]
-            counts[c] += 1
-        new_pts /= counts[:, None]
+        np.add.at(new_pts, labels, cut_pts)  # sums in cut order
+        np.bitwise_or.at(new_masks, labels, cut_masks)
+        new_pts /= np.bincount(labels, minlength=n_clusters)[:, None]
 
         # merge clusters that coincide with a kept on-plane vertex
         on_ids = np.where(on_kept)[0]
@@ -196,12 +175,10 @@ def _insert_halfspace(
                 new_pts[:, None, :] - pts_kept[on_ids][None, :, :], axis=2
             )
             hit = np.argmin(d, axis=1)
-            close = d[np.arange(n_clusters), hit] <= tol.eps_point
-            for c in np.where(close)[0]:
-                tgt = on_ids[hit[c]]
-                masks_kept[tgt] |= new_masks[c]
-                cluster_target[c] = tgt
-                drop[c] = True
+            drop = d[np.arange(n_clusters), hit] <= tol.eps_point
+            tgt = on_ids[hit[drop]]
+            np.bitwise_or.at(masks_kept, tgt, new_masks[drop])
+            cluster_target[drop] = tgt
         if np.any(drop):
             remap = np.full(n_clusters, -1, dtype=np.int64)
             remap[~drop] = np.arange(int((~drop).sum())) + len(pts_kept)
@@ -261,21 +238,22 @@ def _finalize(
     active = np.abs(slack) <= eps
     enough = active.sum(axis=1) >= dim
     points, active = points[enough], active[enough]
-    if len(points) <= rank_check_limit:
-        ok = np.array(
-            [
-                np.linalg.matrix_rank(n_rows[active[k]], tol=1e-8) >= dim
-                for k in range(len(points))
-            ]
-        )
-        if len(ok):
-            points, active = points[ok], active[ok]
+    if 0 < len(points) <= rank_check_limit:
+        # each point's active rows, padded with zero rows to a common
+        # count; zero rows leave the singular values unchanged
+        width = int(active.sum(axis=1).max())
+        rows = np.argsort(~active, axis=1, kind="stable")[:, :width]
+        stack = n_rows[rows] * np.take_along_axis(active, rows, axis=1)[..., None]
+        ok = np.linalg.matrix_rank(stack, tol=1e-8) >= dim
+        points, active = points[ok], active[ok]
     if len(points) == 0:
         return _empty_vertex_set(dim, truncated)
     order = np.lexsort(points.T[::-1])
     points = points[order]
     active = active[order]
-    tags = tuple(frozenset(np.where(a)[0].tolist()) for a in active)
+    cols = np.nonzero(active)[1].tolist()
+    ends = np.cumsum(active.sum(axis=1)).tolist()
+    tags = tuple(frozenset(cols[a:b]) for a, b in zip([0] + ends[:-1], ends))
     return VertexSet(points, tags, truncated)
 
 
@@ -364,25 +342,23 @@ def enumerate_product(
         np.meshgrid(*([np.arange(mv)] * S), indexing="ij"), axis=-1
     ).reshape(-1, S)
     pts = _tuple_points(digits, v2, S)
-    masks = np.zeros((total, words), dtype=np.uint64)
+    # a seed point's active rows are those of its W vertex in each block
+    templates = np.zeros((S, mv, words), dtype=np.uint64)
     for y in range(S):
         for k in range(mv):
-            tmpl = np.zeros(words, dtype=np.uint64)
             for r in vact[k]:
-                tmpl |= _bit(y * m2 + r, words)
-            masks[digits[:, y] == k] |= tmpl
+                templates[y, k] |= _bit(y * m2 + r, words)
+    masks = np.bitwise_or.reduce(templates[np.arange(S), digits], axis=1)
 
+    # seed edges: one block steps along an edge of W, the others stay put
     strides = mv ** np.arange(S - 1, -1, -1)
+    edges2 = np.asarray(edges2, dtype=np.int64).reshape(-1, 2)
     edge_parts = []
     for y in range(S):
-        for a_, b_ in edges2:
-            ids = np.where(digits[:, y] == a_)[0]
-            edge_parts.append(np.column_stack([ids, ids + (b_ - a_) * strides[y]]))
-    edges = (
-        _sorted_unique_edges(np.vstack(edge_parts).astype(np.int64))
-        if edge_parts
-        else np.zeros((0, 2), dtype=np.int64)
-    )
+        ids, e = np.nonzero(digits[:, y, None] == edges2[None, :, 0])
+        step = (edges2[e, 1] - edges2[e, 0]) * strides[y]
+        edge_parts.append(np.column_stack([ids, ids + step]))
+    edges = _sorted_unique_edges(np.vstack(edge_parts))
     state = _DDState(pts.copy(), masks, edges)
 
     center = pts.mean(axis=0)

@@ -170,13 +170,12 @@ class TestApplyB:
             return
         assert contains_polygon(big, small, 1e-7)
 
-    def test_deterministic_across_thread_counts(self, pd_game, pd_w0, monkeypatch):
-        from concurrent.futures import ThreadPoolExecutor
-
-        serial = apply_B(pd_game, 0.9, pd_w0)
-        with ThreadPoolExecutor(max_workers=8) as ex:
-            threaded = apply_B(pd_game, 0.9, pd_w0, executor=ex)
-        assert np.array_equal(serial.set.vertices, threaded.set.vertices)
+    def test_merged_set_is_hull_of_profile_sets(self, pd_game, pd_w0):
+        first = apply_B(pd_game, 0.9, pd_w0)
+        again = apply_B(pd_game, 0.9, pd_w0)
+        parts = [p.vertices for p in first.per_action.values() if not p.is_empty]
+        assert np.array_equal(first.set.vertices, convex_hull(np.vstack(parts)).vertices)
+        assert first.set.vertices.tobytes() == again.set.vertices.tobytes()
 
 
 class TestSolverConfig:

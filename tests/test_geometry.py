@@ -13,6 +13,7 @@ from ppesolve.geometry import (
     contains_polygon,
     convex_hull,
     dist_point_polygon,
+    greedy_cluster,
     hausdorff,
     intersect_halfplane,
     intersect_polygons,
@@ -21,7 +22,12 @@ from ppesolve.geometry import (
     to_vertices,
 )
 
-from oracles import hausdorff_sampled, hull_vertices_lp, match_point_sets
+from oracles import (
+    greedy_cluster_loop,
+    hausdorff_sampled,
+    hull_vertices_lp,
+    match_point_sets,
+)
 
 RNG = np.random.default_rng(20240817)
 
@@ -274,3 +280,51 @@ class TestRdp:
         assert area(q) <= area(p) + 1e-12
         assert contains_polygon(p, q, 1e-9)
         assert hausdorff(p, q) <= theta + 1e-9
+
+
+class TestGreedyCluster:
+    @staticmethod
+    def assert_matches_loop(points, eps):
+        labels, founders = greedy_cluster(points, eps)
+        ref_labels, ref_count = greedy_cluster_loop(points, eps)
+        assert np.array_equal(labels, ref_labels)
+        assert len(founders) == ref_count
+        # each founder is the lexicographically first point of its cluster
+        first = np.lexsort(points.T[::-1])
+        first = first[np.sort(np.unique(labels[first], return_index=True)[1])]
+        assert np.array_equal(founders, first)
+        return labels
+
+    @pytest.mark.parametrize("dim", [2, 4, 8])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_planted_near_duplicates(self, dim, seed):
+        rng = np.random.default_rng(9000 + 10 * dim + seed)
+        eps = 1e-6
+        base = rng.uniform(-1.0, 1.0, size=(60, dim))
+        picks = rng.integers(0, len(base), size=120)
+        shift = rng.normal(size=(len(picks), dim))
+        shift /= np.linalg.norm(shift, axis=1, keepdims=True)
+        # exact copies, copies well inside eps, near its edge, and beyond it
+        shift *= eps * rng.choice([0.0, 0.3, 0.6, 0.99, 1.5], size=len(picks))[:, None]
+        pts = np.vstack([base, base[picks] + shift])
+        self.assert_matches_loop(pts[rng.permutation(len(pts))], eps)
+
+    @pytest.mark.parametrize("spacing", [0.3, 0.6, 0.99])
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_eps_chain(self, spacing, dim):
+        """Steps below eps join into one connected chain, but the greedy
+        scan founds a new cluster each time the founder is out of reach."""
+        eps = 1e-3
+        rng = np.random.default_rng(int(spacing * 100) + dim)
+        pts = np.zeros((40, dim))
+        pts[:, 0] = np.arange(40) * spacing * eps
+        pts[:, 1] = rng.uniform(0.0, 0.01 * eps, size=40)
+        labels = self.assert_matches_loop(pts[rng.permutation(40)], eps)
+        assert len(np.unique(labels)) > 1
+
+    def test_crossing_chains_and_far_points(self):
+        eps = 1.0
+        t = np.arange(-6, 7) * 0.7
+        cross = np.vstack([np.column_stack([t, 0 * t]), np.column_stack([0 * t, t])])
+        far = np.array([[50.0, 50.0], [-50.0, 50.0], [50.0, 50.0]])
+        self.assert_matches_loop(np.vstack([cross, far]), eps)

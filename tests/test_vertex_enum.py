@@ -1,17 +1,20 @@
 import numpy as np
 import pytest
 
+from ppesolve import _kernels
 from ppesolve.geometry import PolygonV, Tolerances, convex_hull
 from ppesolve.vertex_enum import (
     HPolytope,
     UnboundedPolytopeError,
+    _finalize,
+    _sorted_unique_edges,
     affine_image_2d,
     enumerate_product,
     enumerate_vertices,
     product_polytope,
 )
 
-from oracles import match_point_sets, polytope_vertices_bruteforce
+from oracles import adjacent_pairs_loop, match_point_sets, polytope_vertices_bruteforce
 
 TOL = Tolerances()
 
@@ -202,3 +205,50 @@ class TestAffineImage:
             lam = rng.dirichlet(np.ones(len(vs.points)))
             x = lam @ vs.points
             assert contains_point(hull, M @ x + c, 1e-7)
+
+
+def random_facet_masks(rng, f, words, rows):
+    """f active-set masks over `rows` row bits spread across the words."""
+    bit_ids = rng.choice(64 * words, size=rows, replace=False)
+    active = rng.random((f, rows)) < rng.uniform(0.3, 0.8)
+    bits = np.zeros((f, 64 * words), dtype=bool)
+    bits[:, bit_ids] = active
+    return np.packbits(bits, axis=1, bitorder="little").view(np.uint64)
+
+
+class TestKernels:
+    @pytest.mark.parametrize("words", [1, 2, 3])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_adjacent_pairs_matches_pairwise_loop(self, words, seed, monkeypatch):
+        rng = np.random.default_rng(5000 + 10 * words + seed)
+        if seed % 2:
+            monkeypatch.setattr(_kernels, "_BLOCK", 97)  # many small blocks
+        masks = random_facet_masks(
+            rng, int(rng.integers(2, 70)), words, int(rng.choice([6, 12, 40]))
+        )
+        min_common = int(rng.integers(1, 6))
+        got = _kernels.adjacent_pairs_numpy(masks, min_common)
+        expected = adjacent_pairs_loop(masks, min_common)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_sorted_unique_edges_matches_unique(self, seed):
+        rng = np.random.default_rng(6000 + seed)
+        n = int(rng.integers(2, 400))
+        edges = rng.integers(0, n, size=(int(rng.integers(1, 3000)), 2))
+        got = _sorted_unique_edges(edges)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, np.unique(np.sort(edges, axis=1), axis=0))
+
+    def test_finalize_drops_rank_deficient_points(self):
+        # x <= 1 appears twice: (1, 0.5) has two active rows but rank 1
+        p = HPolytope(
+            2,
+            np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]),
+            np.array([1.0, 1.0, 1.0, 0.0, 0.0]),
+        )
+        pts = np.array([[1.0, 0.5], [1.0, 1.0], [0.0, 0.0], [0.5, 0.5]])
+        vs = _finalize(pts, p, TOL, truncated=False)
+        assert np.array_equal(vs.points, [[0.0, 0.0], [1.0, 1.0]])
+        assert vs.tags == (frozenset({3, 4}), frozenset({0, 1, 2}))
