@@ -11,6 +11,7 @@ unless explicitly overridden.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -82,6 +83,8 @@ def _num(x, where: str) -> float:
     if isinstance(x, bool):
         raise GameFormatError(f"{where}: expected a number, got a boolean")
     if isinstance(x, (int, float)):
+        if not math.isfinite(x):
+            raise GameFormatError(f"{where}: {x!r} is not a finite number")
         return float(x)
     if isinstance(x, str):
         try:

@@ -58,6 +58,13 @@ class TestParse:
         with pytest.raises(GameFormatError, match="negative"):
             parse_game(json.dumps(data))
 
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    def test_non_finite_payoff_rejected(self, pd_game_path, value):
+        data = json.loads(pd_game_path.read_text())
+        data["payoffs"][1][0][0] = value  # serialised as Infinity / NaN
+        with pytest.raises(GameFormatError, match="finite"):
+            parse_game(json.dumps(data))
+
     def test_syntax_error(self):
         with pytest.raises(GameFormatError, match="JSON"):
             parse_game("{not json")
