@@ -1,10 +1,13 @@
 """Set-operator iteration over payoff polygons.
 
 For each action profile the incentive constraints are expressed purely
-in the continuation mapping (the promised value is substituted out), the
-continuation polytope W^Y is cut by those rows, its vertices are pushed
-through the discounted-average map, and the per-profile payoff sets are
-hulled together.  Iterating that operator from the individually rational
+in the continuation mapping (the promised value is substituted out).  A
+signal the profile never emits only punishes deviations; unless both
+players' deviations reach it, its block is dropped or fixed at the
+deviator's harshest point of W.  The continuation polytope over the
+remaining signals is cut by those rows, its vertices are pushed through
+the discounted-average map, and the per-profile payoff sets are hulled
+together.  Iterating that operator from the individually rational
 feasible set and stopping on an area-difference threshold yields an
 outer bound on the equilibrium payoff set.
 """
@@ -171,6 +174,33 @@ def _payoff_map(game: StageGame, a: tuple, delta: float):
     return M, c
 
 
+def _fold_unreachable_signals(game: StageGame, a: tuple, ic: ICSystem, w: PolygonV):
+    """Deviation rows over the signals that still matter for P(a).
+
+    A signal that `a` never emits leaves the promised value alone; its
+    coefficients, delta * rho(y|d) / |n| >= 0, sit on the deviating
+    player's coordinate only.  Unless both players' rows reach it, its
+    block drops out: when only player i's rows reach it, gamma(y) at
+    player i's lowest payoff in W satisfies each of those rows at least
+    as well as any other point of W, so that term moves into the
+    offsets.  Returns (kept signal indices, normals, offsets); when
+    nothing folds these are ic's own arrays.
+    """
+    S = game.num_signals
+    rho = game.signal_probs[a[0], a[1]]
+    n = ic.normals.reshape(len(ic.offsets), S, 2)
+    reached = (n != 0).any(axis=0)  # (S, 2): player i's rows reach signal y
+    kept = (rho > 0) | reached.all(axis=1)
+    if kept.all():
+        return np.arange(S), ic.normals, ic.offsets
+    offsets = ic.offsets - np.einsum("ryi,i->r", n[:, ~kept], w.vertices.min(axis=0))
+    normals = n[:, kept].reshape(len(offsets), -1)
+    # a row keeps a nonzero kept part: a deviation matching rho(.|a) on
+    # its support matches it everywhere, and ic_constraints dropped it
+    norm = np.linalg.norm(normals, axis=1)
+    return np.flatnonzero(kept), normals / norm[:, None], offsets / norm
+
+
 def enforceable_payoffs(
     game: StageGame,
     a: tuple,
@@ -181,6 +211,11 @@ def enforceable_payoffs(
 ):
     """P(a): image of the IC-cut continuation polytope, as a polygon.
 
+    Vertices are enumerated over the signals `a` can emit plus those
+    that both players' deviations reach; every other signal block is
+    dropped or folded into the deviation rows' offsets (see
+    `_fold_unreachable_signals`), which leaves P(a) unchanged.
+
     Returns (PolygonV, truncated).  An empty polygon means `a` is not
     enforceable against W.
     """
@@ -189,11 +224,13 @@ def enforceable_payoffs(
     ic = ic_constraints(game, a, delta)
     if ic.infeasible:
         return PolygonV.empty(), False
-    vs, _ = enumerate_product(w, game.num_signals, ic.normals, ic.offsets, tol, cap)
+    kept, normals, offsets = _fold_unreachable_signals(game, a, ic, w)
+    vs, _ = enumerate_product(w, len(kept), normals, offsets, tol, cap)
     if vs.is_empty:
         return PolygonV.empty(), vs.truncated
     M, c = _payoff_map(game, a, delta)
-    pts = affine_image_2d(vs, M, c)
+    cols = (2 * kept[:, None] + np.arange(2)).ravel()
+    pts = affine_image_2d(vs, M[:, cols], c)
     return convex_hull(pts, tol), vs.truncated
 
 

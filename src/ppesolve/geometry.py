@@ -156,8 +156,67 @@ def greedy_cluster(points: np.ndarray, eps: float):
     return label_of[joins], founders
 
 
+# relative error bound of the floating-point turn test (Shewchuk's
+# ccwerrboundA): beyond it the computed sign is the true one
+_TURN_ERR = 3.3306690738754716e-16
+
+
+def _exact_turn(o, a, p) -> float:
+    """Sign of (a - o) x (p - o), computed exactly in integers.
+
+    Every float is an integer over a power of two, so scaling all six
+    coordinates to the largest denominator keeps them integers.
+    """
+    ratios = [v.as_integer_ratio() for v in (*o, *a, *p)]
+    den = max(d for _, d in ratios)
+    ox, oy, ax, ay, px, py = (n * (den // d) for n, d in ratios)
+    c = (ax - ox) * (py - oy) - (ay - oy) * (px - ox)
+    return float((c > 0) - (c < 0))
+
+
+def _within_chord(o, a, p, eps: float) -> bool:
+    """True when a lies within eps of the segment from o to p."""
+    dx, dy = p[0] - o[0], p[1] - o[1]
+    ex, ey = a[0] - o[0], a[1] - o[1]
+    length2 = dx * dx + dy * dy
+    dot = ex * dx + ey * dy
+    if length2 == 0.0 or dot < 0.0 or dot > length2:
+        return False  # a projects outside the chord: a spike, not a bend
+    return abs(dx * ey - dy * ex) <= eps * length2**0.5
+
+
+def _drop_flat_vertices(cycle: list, eps: float) -> list:
+    """Remove the vertices of a convex cycle lying within eps of the
+    chord between their neighbours, in one stack pass plus the wrap."""
+    out = []
+    for p in cycle:
+        while len(out) >= 2 and _within_chord(out[-2], out[-1], p, eps):
+            out.pop()
+        out.append(p)
+    # the pass never tested the last vertex against the first, nor the
+    # first against the last: settle both ends of the cycle
+    start = 0
+    changed = True
+    while changed and len(out) - start >= 3:
+        changed = False
+        if _within_chord(out[-2], out[-1], out[start], eps):
+            out.pop()
+            changed = True
+        elif _within_chord(out[-1], out[start], out[start + 1], eps):
+            start += 1
+            changed = True
+    return out[start:]
+
+
 def convex_hull(points, tol: Tolerances = DEFAULT_TOL) -> PolygonV:
-    """Canonical CCW hull via monotone chain; collinear points removed."""
+    """Canonical CCW hull via monotone chain; collinear points removed.
+
+    The chain pops on the exact turn test, so every extreme point of the
+    merged input survives it; only then are vertices within eps_side of
+    their neighbours' chord removed.  A tolerance inside the chain would
+    also pop a vertex where the chain doubles back along a near-vertical
+    edge, losing a real extreme point.
+    """
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     if len(pts) == 0:
         return PolygonV.empty()
@@ -172,9 +231,13 @@ def convex_hull(points, tol: Tolerances = DEFAULT_TOL) -> PolygonV:
         for p in seq:
             while len(out) >= 2:
                 (ox, oy), (ax, ay) = out[-2], out[-1]
-                c = (ax - ox) * (p[1] - oy) - (ay - oy) * (p[0] - ox)
-                # drop a if it is (near-)collinear or a right turn
-                if c <= tol.eps_side * max(np.hypot(ax - ox, ay - oy), 1e-300):
+                left = (ax - ox) * (p[1] - oy)
+                right = (ay - oy) * (p[0] - ox)
+                c = left - right
+                if abs(c) <= _TURN_ERR * (abs(left) + abs(right)) + 1e-300:
+                    c = _exact_turn(out[-2], out[-1], p)  # sign in doubt
+                # drop a if it is collinear or a right turn
+                if c <= 0.0:
                     out.pop()
                 else:
                     break
@@ -185,11 +248,11 @@ def convex_hull(points, tol: Tolerances = DEFAULT_TOL) -> PolygonV:
     seq = pts.tolist()
     lower = chain(seq)
     upper = chain(seq[::-1])
-    verts = np.array(lower[:-1] + upper[:-1])
-    if len(verts) <= 2:
-        # all points collinear: keep the two extreme ones
-        return PolygonV(np.array([pts[0], pts[-1]]))
-    return canonicalize(verts, tol)
+    verts = _drop_flat_vertices(lower[:-1] + upper[:-1], tol.eps_side)
+    if len(verts) == 2:
+        # all points (near-)collinear: the two survivors are the ends
+        return PolygonV(np.array(sorted(verts)))
+    return canonicalize(np.array(verts), tol)
 
 
 def canonicalize(vertices: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> PolygonV:

@@ -51,10 +51,10 @@ class HPolytope:
 
 @dataclass(frozen=True)
 class VertexSet:
-    """Enumerated vertices with their active row index sets."""
+    """Enumerated vertices with their active rows."""
 
     points: np.ndarray  # (n, dim)
-    tags: tuple  # tuple of frozenset[int], aligned with points
+    active: np.ndarray  # (n, rows) bool: row r is tight at point k
     truncated: bool = False
 
     @property
@@ -62,12 +62,17 @@ class VertexSet:
         return self.points.shape[0]
 
     @property
+    def tags(self) -> tuple:
+        """Active row index sets as frozensets, aligned with points."""
+        return tuple(frozenset(np.flatnonzero(row).tolist()) for row in self.active)
+
+    @property
     def is_empty(self) -> bool:
         return self.num_points == 0
 
 
 def _empty_vertex_set(dim: int, truncated: bool = False) -> VertexSet:
-    return VertexSet(np.zeros((0, dim)), (), truncated)
+    return VertexSet(np.zeros((0, dim)), np.zeros((0, 0), dtype=bool), truncated)
 
 
 # ---------------------------------------------------------------------------
@@ -250,11 +255,7 @@ def _finalize(
         return _empty_vertex_set(dim, truncated)
     order = np.lexsort(points.T[::-1])
     points = points[order]
-    active = active[order]
-    cols = np.nonzero(active)[1].tolist()
-    ends = np.cumsum(active.sum(axis=1)).tolist()
-    tags = tuple(frozenset(cols[a:b]) for a, b in zip([0] + ends[:-1], ends))
-    return VertexSet(points, tags, truncated)
+    return VertexSet(points, active[order], truncated)
 
 
 # ---------------------------------------------------------------------------

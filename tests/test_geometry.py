@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.spatial import ConvexHull
 
 from ppesolve.geometry import (
     DegenerateInputError,
@@ -63,6 +64,34 @@ class TestConvexHull:
     def test_empty_and_point(self):
         assert convex_hull([]).is_empty
         assert convex_hull([(1, 2), (1, 2)]).is_point
+
+    def test_chain_keeps_vertex_below_ulp_shifted_column(self):
+        # the lower chain starts at (x-, .5), one ULP left of (1, 0): a
+        # tolerant turn test took (x-, .5) -> (1, 0) -> (1, 1) for
+        # collinear and lost (1, 0)
+        x = np.nextafter(1.0, 0.0)
+        p = convex_hull([(1, 0), (x, 0.5), (x, 0.6), (2, 0.5), (1, 1)])
+        assert p.vertices.tolist() == [[1, 0], [2, 0.5], [1, 1]]
+
+    def test_near_vertical_collinear_points_keep_both_ends(self):
+        x = np.nextafter(1.0, 0.0)
+        p = convex_hull([(x, 0.5), (1, 0), (1, 1)])
+        assert p.vertices.tolist() == [[1, 0], [1, 1]]
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_ulp_shifted_columns_against_qhull(self, seed):
+        rng = np.random.default_rng(9000 + seed)
+        columns = rng.choice(np.arange(-3.0, 4.0), size=int(rng.integers(2, 5)), replace=False)
+        xs = []
+        for x in columns:
+            xs += [x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf)]
+        n = int(rng.integers(4, 25))
+        pts = np.column_stack([rng.choice(xs, size=n), rng.uniform(-2, 2, size=n)])
+        pts[:2, 0] = columns[:2]  # two columns far apart: never collinear
+        ours = convex_hull(pts)
+        oracle = PolygonV(pts[ConvexHull(pts).vertices])
+        assert ours.is_full_dim
+        assert hausdorff(ours, oracle) <= 1e-9
 
     @given(
         st.lists(
