@@ -2,10 +2,9 @@
 
 After a cut, two vertices on the fresh facet are joined by an edge when
 their active sets share enough rows and no third facet vertex's active
-set contains the shared rows.  The test is quadratic in the facet size.
-It is compiled with numba when numba is installed (the optional `numba`
-extra); otherwise, or with PPE_NO_NUMBA=1, the vectorized numpy version
-runs.  Both return the same pairs in the same order.
+set contains the shared rows.  The candidate stage is quadratic in the
+facet size; the dominance stage tests each candidate pair only against
+its endpoint's candidate partners.
 
 Active constraint sets are stored as multi-word uint64 bitmasks, one row
 bit per inserted halfspace.
@@ -13,22 +12,13 @@ bit per inserted halfspace.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-USE_NUMBA = os.environ.get("PPE_NO_NUMBA", "") not in ("1", "true", "yes")
-if USE_NUMBA:
-    try:
-        import numba
-    except ImportError:  # pragma: no cover
-        USE_NUMBA = False
 
 _BLOCK = 1_000_000
 
 
-def adjacent_pairs_numpy(masks: np.ndarray, min_common: int) -> np.ndarray:
-    """Combinatorial adjacency among facet vertices, vectorized.
+def adjacent_pairs(masks: np.ndarray, min_common: int) -> np.ndarray:
+    """Combinatorial adjacency among facet vertices.
 
     Two vertices are adjacent when their common active set has at least
     `min_common` rows and no third vertex's active set dominates it.
@@ -72,60 +62,3 @@ def adjacent_pairs_numpy(masks: np.ndarray, min_common: int) -> np.ndarray:
         keep[lo : lo + chunk] = np.bincount(pair[third], minlength=len(i)) == 0
     return np.column_stack([ii[keep], jj[keep]]).astype(np.int64)
 
-
-if USE_NUMBA:
-
-    @numba.njit(cache=True)
-    def _popcount64(x):
-        x = x - ((x >> 1) & np.uint64(0x5555555555555555))
-        x = (x & np.uint64(0x3333333333333333)) + (
-            (x >> 2) & np.uint64(0x3333333333333333)
-        )
-        x = (x + (x >> 4)) & np.uint64(0x0F0F0F0F0F0F0F0F)
-        return (x * np.uint64(0x0101010101010101)) >> 56
-
-    @numba.njit(cache=True)
-    def _adjacent_pairs_nb(masks, min_common):
-        f, w = masks.shape
-        cap = max(4 * f, 64)
-        out = np.empty((cap, 2), dtype=np.int64)
-        n_out = 0
-        for i in range(f):
-            for j in range(i + 1, f):
-                npc = 0
-                for k in range(w):
-                    npc += int(_popcount64(masks[i, k] & masks[j, k]))
-                if npc < min_common:
-                    continue
-                ndom = 0
-                for t in range(f):
-                    dom = True
-                    for k in range(w):
-                        c = masks[i, k] & masks[j, k]
-                        if masks[t, k] & c != c:
-                            dom = False
-                            break
-                    if dom:
-                        ndom += 1
-                        if ndom > 2:
-                            break
-                if ndom <= 2:
-                    if n_out == cap:
-                        bigger = np.empty((cap * 2, 2), dtype=np.int64)
-                        bigger[:cap] = out
-                        out = bigger
-                        cap *= 2
-                    out[n_out, 0] = i
-                    out[n_out, 1] = j
-                    n_out += 1
-        return out[:n_out]
-
-    def adjacent_pairs(masks: np.ndarray, min_common: int) -> np.ndarray:
-        return _adjacent_pairs_nb(np.ascontiguousarray(masks), min_common)
-
-else:
-    adjacent_pairs = adjacent_pairs_numpy
-
-
-def backend_name() -> str:
-    return "numba" if USE_NUMBA else "numpy"

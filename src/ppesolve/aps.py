@@ -14,11 +14,11 @@ outer bound on the equilibrium payoff set.
 
 from __future__ import annotations
 
+import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .game import StageGame, individually_rational_set
 from .geometry import (
@@ -65,9 +65,12 @@ class SolverConfig:
     hausdorff_epsilon: float = 1e-6
     eps_point: float = 1e-9
     eps_side: float = 1e-9
-    vertex_cap: int = DEFAULT_VERTEX_CAP
 
     def __post_init__(self):
+        for name in ("delta", "epsilon", "theta", "hausdorff_epsilon",
+                     "eps_point", "eps_side"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not 0.0 <= self.delta < 1.0:
             raise ValueError("delta must lie in [0, 1)")
         if self.epsilon <= 0:
@@ -76,6 +79,8 @@ class SolverConfig:
             raise ValueError("theta must be >= 0")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
+        if self.hausdorff_epsilon <= 0:
+            raise ValueError("hausdorff_epsilon must be positive")
 
 
 @dataclass(frozen=True)
@@ -207,7 +212,6 @@ def enforceable_payoffs(
     delta: float,
     w: PolygonV,
     tol: Tolerances = DEFAULT_TOL,
-    cap: int = DEFAULT_VERTEX_CAP,
 ):
     """P(a): image of the IC-cut continuation polytope, as a polygon.
 
@@ -225,7 +229,7 @@ def enforceable_payoffs(
     if ic.infeasible:
         return PolygonV.empty(), False
     kept, normals, offsets = _fold_unreachable_signals(game, a, ic, w)
-    vs, _ = enumerate_product(w, len(kept), normals, offsets, tol, cap)
+    vs, _ = enumerate_product(w, len(kept), normals, offsets, tol, DEFAULT_VERTEX_CAP)
     if vs.is_empty:
         return PolygonV.empty(), vs.truncated
     M, c = _payoff_map(game, a, delta)
@@ -240,7 +244,6 @@ def apply_B(
     w: PolygonV,
     theta: float = 0.0,
     tol: Tolerances = DEFAULT_TOL,
-    cap: int = DEFAULT_VERTEX_CAP,
 ) -> BResult:
     """One application of the set operator, with optional simplification.
 
@@ -250,7 +253,7 @@ def apply_B(
     pts = []
     truncated = False
     for a in game.profiles():
-        poly, trunc = enforceable_payoffs(game, a, delta, w, tol, cap)
+        poly, trunc = enforceable_payoffs(game, a, delta, w, tol)
         label = (game.action_labels[0][a[0]], game.action_labels[1][a[1]])
         per_action[label] = poly
         truncated = truncated or trunc
@@ -295,7 +298,7 @@ def solve(game: StageGame, config: SolverConfig) -> Report:
     message = ""
     for k in range(1, config.max_iter + 1):
         t0 = time.perf_counter()
-        res = apply_B(game, config.delta, w, config.theta, tol, config.vertex_cap)
+        res = apply_B(game, config.delta, w, config.theta, tol)
         wall_ms = (time.perf_counter() - t0) * 1e3
         # boundary simplification trims vertices inward, so a later
         # application of the operator may partially regrow past the
@@ -361,6 +364,8 @@ def verify_enforceability(
     enumeration path.  Returns a Certificate or a Refusal naming the
     most-violated row.
     """
+    from scipy.optimize import linprog  # only this check needs scipy
+
     v = np.asarray(v, dtype=float).reshape(2)
     S = game.num_signals
     prod = product_polytope(w, S)

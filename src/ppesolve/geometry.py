@@ -8,10 +8,10 @@ set, one vertex a point, two vertices a segment.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 
 class DegenerateInputError(ValueError):
@@ -102,6 +102,35 @@ class PolygonH:
         return self.normals.shape[0]
 
 
+def _close_pairs(points: np.ndarray, eps: float):
+    """All index pairs (i, j), i != j, with |points[i] - points[j]| <= eps.
+
+    Sort-and-sweep: |u.(p - q)| <= |p - q| for a unit vector u, so the
+    projections of a close pair on one fixed generic direction u differ
+    by at most eps.  Each point's window reaches 2 eps ahead along u,
+    plus a bound on the rounding of the projections; the exact distance
+    test then filters it.
+    """
+    n, d = points.shape
+    u = np.cos(np.arange(1.0, d + 1))
+    u /= math.sqrt(u @ u)
+    proj = points @ u
+    by_proj = np.argsort(proj)
+    proj = proj[by_proj]
+    # each projection rounds by at most (d + 1) ulps of |u|_1 max|p|,
+    # and |u|_1 <= sqrt(d)
+    rounding = 2 * (d + 1) * math.sqrt(d) * np.finfo(float).eps
+    reach = 2 * eps + rounding * float(np.abs(points).max(initial=0.0))
+    count = np.searchsorted(proj, proj + reach, side="right") - np.arange(n) - 1
+    if not count.any():
+        return by_proj[:0], by_proj[:0]
+    a = np.repeat(np.arange(n), count)
+    b = a + 1 + np.arange(len(a)) - np.repeat(np.cumsum(count) - count, count)
+    i, j = by_proj[a], by_proj[b]
+    near = np.linalg.norm(points[i] - points[j], axis=1) <= eps
+    return i[near], j[near]
+
+
 def greedy_cluster(points: np.ndarray, eps: float):
     """Greedy lexicographic clustering of points in any dimension.
 
@@ -109,16 +138,14 @@ def greedy_cluster(points: np.ndarray, eps: float):
     recently founded cluster whose founding point lies within eps of it,
     or else founds a new cluster.  Returns (labels, founders): the
     cluster of every point, and the index of each cluster's founding
-    point, clusters numbered in order of creation.
+    point, clusters numbered in order of creation.  Close pairs come
+    from a sort-and-sweep along one direction (`_close_pairs`).
     """
     n = len(points)
     order = np.lexsort(points.T[::-1])
     rank = np.empty(n, dtype=np.int64)
     rank[order] = np.arange(n)
-    # the margin keeps every pair within eps among the candidates
-    pairs = cKDTree(points).query_pairs(eps * (1 + 1e-6), output_type="ndarray")
-    near = np.linalg.norm(points[pairs[:, 0]] - points[pairs[:, 1]], axis=1) <= eps
-    i, j = pairs[near].T
+    i, j = _close_pairs(points, eps)
     if len(i) == 0:
         return rank, order  # every point founds its own cluster
     # head: the lexicographically first of a point and its close partners.

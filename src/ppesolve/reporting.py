@@ -28,7 +28,6 @@ def report_to_dict(report: Report) -> dict:
             "theta": cfg.theta,
             "max_iter": cfg.max_iter,
             "hausdorff_epsilon": cfg.hausdorff_epsilon,
-            "vertex_cap": cfg.vertex_cap,
         },
         "tolerances": {
             "eps_point": report.tolerances.eps_point,

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
 
 from . import _kernels
 from .geometry import PolygonV, Tolerances, DEFAULT_TOL, greedy_cluster, halfspace_rows
@@ -401,6 +400,8 @@ def _mixed_radix_prefix(mv, S, count):
 
 def _coordinate_bounds(p: HPolytope):
     """Per-coordinate LP bounds; raises on unbounded, None when empty."""
+    from scipy.optimize import linprog  # the solve path never bounds by LP
+
     lo = np.zeros(p.dim)
     hi = np.zeros(p.dim)
     for k in range(p.dim):

@@ -187,6 +187,16 @@ class TestSolverConfig:
             {"delta": 0.5, "epsilon": 0.0},
             {"delta": 0.5, "theta": -1.0},
             {"delta": 0.5, "max_iter": 0},
+            {"delta": float("nan")},
+            {"delta": 0.5, "epsilon": float("nan")},
+            {"delta": 0.5, "epsilon": float("inf")},
+            {"delta": 0.5, "theta": float("nan")},
+            {"delta": 0.5, "theta": float("inf")},
+            {"delta": 0.5, "hausdorff_epsilon": float("nan")},
+            {"delta": 0.5, "hausdorff_epsilon": 0.0},
+            {"delta": 0.5, "hausdorff_epsilon": -1e-6},
+            {"delta": 0.5, "eps_point": float("nan")},
+            {"delta": 0.5, "eps_side": float("inf")},
         ],
     )
     def test_rejects_bad_values(self, kwargs):

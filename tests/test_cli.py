@@ -96,6 +96,14 @@ class TestSolveCommand:
         assert result.exit_code == 1
         assert "delta" in result.output
 
+    def test_nan_epsilon_exits_one(self, tmp_path, pd_game_path):
+        result = run_cli(
+            ["solve", "--game", str(pd_game_path), "--delta", "0.9",
+             "--epsilon", "nan", "--out", str(tmp_path)]
+        )
+        assert result.exit_code == 1
+        assert "epsilon must be finite" in result.output
+
     def test_bad_emit_exits_one(self, pd_game_path):
         result = run_cli(
             ["solve", "--game", str(pd_game_path), "--delta", "0.9",
@@ -172,16 +180,13 @@ class TestDeterminism:
         import sys
 
         outs = []
-        for tag, threads in (("a", "1"), ("b", "8")):
+        for tag in ("a", "b"):
             out = tmp_path / tag
             cmd = [
                 sys.executable, "-m", "ppesolve.cli", "solve",
                 "--game", str(pd_game_path), *PD_ARGS, "--out", str(out),
             ]
-            import os
-
-            env = dict(os.environ, PPE_THREADS=threads)
-            proc = subprocess.run(cmd, capture_output=True, text=True, env=env)
+            proc = subprocess.run(cmd, capture_output=True, text=True)
             assert proc.returncode == 0, proc.stderr
             outs.append(out)
 
@@ -204,3 +209,22 @@ class TestDeterminism:
         assert (outs[0] / "final.svg").read_bytes() == (
             outs[1] / "final.svg"
         ).read_bytes()
+
+
+def test_solve_path_loads_no_scipy(cournot_game_path):
+    """Only verify_enforceability needs scipy: importing the package and
+    the CLI and running a whole solve must not load it."""
+    import subprocess
+    import sys
+
+    code = (
+        "import sys\n"
+        "import ppesolve, ppesolve.cli\n"
+        "from ppesolve import SolverConfig, parse_game, solve\n"
+        f"game = parse_game(open({str(cournot_game_path)!r}).read())\n"
+        "solve(game, SolverConfig(delta=0.5))\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

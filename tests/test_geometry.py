@@ -351,6 +351,37 @@ class TestGreedyCluster:
         labels = self.assert_matches_loop(pts[rng.permutation(40)], eps)
         assert len(np.unique(labels)) > 1
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_product_tuples_and_eps_boundary(self, seed):
+        """8-D points that differ in one 2-D block, as product seed tuples
+        do, plus pairs just inside and just outside eps."""
+        rng = np.random.default_rng(9500 + seed)
+        eps = 1e-6
+        verts = rng.uniform(-1.0, 1.0, size=(4, 2))
+        digits = rng.integers(0, len(verts), size=(30, 4))
+        base = verts[digits].reshape(-1, 8)
+        rows = rng.integers(0, len(base), size=40)
+        blocks = rng.integers(0, 4, size=len(rows))
+        step = rng.normal(size=(len(rows), 2))
+        step /= np.linalg.norm(step, axis=1, keepdims=True)
+        scale = rng.choice([1 - 1e-9, 1 + 1e-9, 0.5, 3.0], size=len(rows))
+        step *= eps * scale[:, None]
+        moved = base[rows].reshape(-1, 4, 2)
+        moved[np.arange(len(rows)), blocks] += step
+        pts = np.vstack([base, moved.reshape(-1, 8)])
+        self.assert_matches_loop(pts[rng.permutation(len(pts))], eps)
+
+    def test_eps_below_projection_rounding(self):
+        """Close pairs far from the origin, whose projections on the sweep
+        direction round apart by more than 2 eps."""
+        rng = np.random.default_rng(9600)
+        eps = 1e-12
+        x = rng.uniform(5e5, 1e6, 2000)
+        base = np.column_stack([x, rng.uniform(-1.0, 1.0, 2000)])
+        pts = np.vstack([base, base + [0.0, 0.9 * eps]])
+        labels = self.assert_matches_loop(pts, eps)
+        assert np.array_equal(labels[:2000], labels[2000:])
+
     def test_crossing_chains_and_far_points(self):
         eps = 1.0
         t = np.arange(-6, 7) * 0.7

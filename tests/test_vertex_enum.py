@@ -227,7 +227,7 @@ class TestKernels:
             rng, int(rng.integers(2, 70)), words, int(rng.choice([6, 12, 40]))
         )
         min_common = int(rng.integers(1, 6))
-        got = _kernels.adjacent_pairs_numpy(masks, min_common)
+        got = _kernels.adjacent_pairs(masks, min_common)
         expected = adjacent_pairs_loop(masks, min_common)
         assert got.dtype == np.int64
         assert np.array_equal(got, expected)
