@@ -4,12 +4,16 @@ For each action profile the incentive constraints are expressed purely
 in the continuation mapping (the promised value is substituted out).  A
 signal the profile never emits only punishes deviations; unless both
 players' deviations reach it, its block is dropped or fixed at the
-deviator's harshest point of W.  The continuation polytope over the
-remaining signals is cut by those rows, its vertices are pushed through
-the discounted-average map, and the per-profile payoff sets are hulled
-together.  Iterating that operator from the individually rational
-feasible set and stopping on an area-difference threshold yields an
-outer bound on the equilibrium payoff set.
+deviator's harshest point of W.  Each row's extremes over W^k are sums
+of per-block extremes over W's vertices, so a row that cannot cut is
+dropped, and a row that excludes all of W^k empties the profile, before
+anything is enumerated.  The continuation polytope over the remaining
+signals is cut by the remaining rows, the vertices that can map to
+extreme payoffs are pushed through the discounted-average map, and the
+per-profile payoff sets are hulled together.  Iterating that operator
+from the individually rational feasible set and stopping on an
+area-difference threshold yields an outer bound on the equilibrium
+payoff set.
 """
 
 from __future__ import annotations
@@ -38,6 +42,10 @@ from .vertex_enum import (
     enumerate_product,
     product_polytope,
 )
+
+
+# relative rounding bound per term of a dot product, with room to spare
+_ROUNDING = 8 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -206,6 +214,39 @@ def _fold_unreachable_signals(game: StageGame, a: tuple, ic: ICSystem, w: Polygo
     return np.flatnonzero(kept), normals / norm[:, None], offsets / norm
 
 
+def _cutting_rows(w: PolygonV, k: int, normals, offsets, tol: Tolerances):
+    """Indices of the rows that may cut W^k; None when one row empties it.
+
+    A row's least and greatest values over W^k are sums of per-block
+    extremes over W's vertices.  The margin is the enumerator's on-plane
+    band plus a bound on the rounding of either sum, so a row dropped
+    here would leave every enumerated point strictly inside, and a row
+    that empties here would leave none on or inside its plane.
+    """
+    n = normals.reshape(len(offsets), k, 2)
+    vals = n @ w.vertices.T  # (rows, k, |W|)
+    size = (np.abs(n) @ np.abs(w.vertices).T).max(axis=2).sum(axis=1) + np.abs(offsets)
+    margin = tol.eps_side * np.maximum(1.0, np.abs(offsets)) + _ROUNDING * (k + 1) * size
+    if np.any(vals.min(axis=2).sum(axis=1) - offsets > margin):
+        return None
+    return np.flatnonzero(vals.max(axis=2).sum(axis=1) - offsets >= -margin)
+
+
+def _extreme_candidates(vs, rows: int, emitted: np.ndarray) -> np.ndarray:
+    """Vertices of the cut polytope Q whose images can be extreme in P(a).
+
+    A generic direction exposing an extreme point of P(a) is maximised
+    over Q at some vertex.  If no deviation row is active there, it is a
+    local, hence global, maximiser over W^k, so every emitted block sits
+    on the one vertex of W that maximises the direction.  Candidates are
+    therefore the vertices with a deviation row active, and those whose
+    emitted blocks are equal.
+    """
+    blocks = vs.points.reshape(vs.num_points, -1, 2)[:, emitted]
+    same = (blocks == blocks[:, :1]).all(axis=(1, 2))
+    return same | vs.active[:, -rows:].any(axis=1)
+
+
 def enforceable_payoffs(
     game: StageGame,
     a: tuple,
@@ -220,6 +261,14 @@ def enforceable_payoffs(
     dropped or folded into the deviation rows' offsets (see
     `_fold_unreachable_signals`), which leaves P(a) unchanged.
 
+    Rows are then screened over W^k (`_cutting_rows`): P(a) is empty if
+    one row excludes all of W^k, and a row that cuts nothing is dropped.
+    With no row left, P(a) = (1-delta) u(a) + delta W in closed form.
+    Otherwise only the vertices that can be extreme are hulled: one
+    with no deviation row active that maximises a generic direction
+    over the cut polytope maximises it over W^k, so its emitted blocks
+    all sit on one vertex of W (`_extreme_candidates`).
+
     Returns (PolygonV, truncated).  An empty polygon means `a` is not
     enforceable against W.
     """
@@ -229,12 +278,22 @@ def enforceable_payoffs(
     if ic.infeasible:
         return PolygonV.empty(), False
     kept, normals, offsets = _fold_unreachable_signals(game, a, ic, w)
-    vs, _ = enumerate_product(w, len(kept), normals, offsets, tol, DEFAULT_VERTEX_CAP)
-    if vs.is_empty:
-        return PolygonV.empty(), vs.truncated
+    rows = _cutting_rows(w, len(kept), normals, offsets, tol)
+    if rows is None:
+        return PolygonV.empty(), False
     M, c = _payoff_map(game, a, delta)
     cols = (2 * kept[:, None] + np.arange(2)).ravel()
+    if len(rows) == 0:
+        # Q = W^k, so P(a) = (1-delta) u(a) + delta W: the images of the
+        # tuples that repeat one vertex of W
+        return convex_hull(np.tile(w.vertices, len(kept)) @ M[:, cols].T + c, tol), False
+    vs, _ = enumerate_product(w, len(kept), normals[rows], offsets[rows], tol, DEFAULT_VERTEX_CAP)
+    if vs.is_empty:
+        return PolygonV.empty(), vs.truncated
     pts = affine_image_2d(vs, M[:, cols], c)
+    if not vs.truncated:
+        emitted = game.signal_probs[a[0], a[1]][kept] > 0
+        pts = pts[_extreme_candidates(vs, len(rows), emitted)]
     return convex_hull(pts, tol), vs.truncated
 
 

@@ -34,8 +34,10 @@ class Tolerances:
     eps_side: float = 1e-9
 
     def __post_init__(self):
-        if self.eps_point <= 0 or self.eps_side <= 0:
-            raise ValueError("tolerances must be strictly positive")
+        for name in ("eps_point", "eps_side"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and strictly positive")
 
     def scaled(self, magnitude: float) -> "Tolerances":
         """Scale both thresholds by a payoff-magnitude bound (>= 1)."""

@@ -4,7 +4,8 @@ The enumerator keeps a double description of the working polytope:
 vertex coordinates plus, per vertex, the bitmask of active rows and an
 explicit edge list.  Halfspaces are inserted one at a time; each cut
 clips crossing edges and reconstructs the adjacency on the new facet
-with the combinatorial active-set test.  Everything is deterministic:
+with the combinatorial active-set test, except the last cut, after
+which no edge is read.  Everything is deterministic:
 rows are inserted in a fixed heuristic order and results are returned in
 lexicographic vertex order.
 """
@@ -96,7 +97,7 @@ class _DDState:
     def __init__(self, points, masks, edges):
         self.points = points  # (n, dim) float64
         self.masks = masks  # (n, words) uint64
-        self.edges = edges  # (e, 2) int64, sorted pairs, unique
+        self.edges = edges  # (e, 2) int64, sorted pairs, unique; None after the last cut
 
     @property
     def num_points(self):
@@ -122,9 +123,11 @@ def _insert_halfspace(
     dim: int,
     words: int,
     tol: Tolerances,
+    need_edges: bool,
 ):
     """Cut the working polytope by normal.x <= offset.  Returns the new
-    state, or None when the cut empties the polytope."""
+    state, or None when the cut empties the polytope.  Without
+    need_edges (no further cut follows) the new state has no edge list."""
     s = state.points @ normal - offset
     eps = tol.eps_side * max(1.0, abs(offset))
     status = np.where(s < -eps, 0, np.where(s <= eps, 1, 2)).astype(np.int8)
@@ -147,10 +150,6 @@ def _insert_halfspace(
 
     e0, e1 = state.edges[:, 0], state.edges[:, 1]
     st0, st1 = status[e0], status[e1]
-    keep_edge = (st0 <= 1) & (st1 <= 1)
-    kept_edges = state.edges[keep_edge]
-    kept_edges = np.column_stack([new_index[kept_edges[:, 0]], new_index[kept_edges[:, 1]]])
-
     cross = ((st0 == 0) & (st1 == 2)) | ((st0 == 2) & (st1 == 0))
     ce = state.edges[cross]
     if len(ce):
@@ -199,6 +198,11 @@ def _insert_halfspace(
 
     all_pts = np.vstack([pts_kept, new_pts])
     all_masks = np.vstack([masks_kept, new_masks])
+    if not need_edges:
+        return _DDState(all_pts, all_masks, None)
+
+    kept_edges = state.edges[(st0 <= 1) & (st1 <= 1)]
+    kept_edges = np.column_stack([new_index[kept_edges[:, 0]], new_index[kept_edges[:, 1]]])
 
     # adjacency on the fresh facet: kept on-plane vertices + new vertices
     facet_ids = np.concatenate(
@@ -373,6 +377,7 @@ def enumerate_product(
             dim,
             words,
             tol,
+            need_edges=k != order[-1],
         )
         if state is None:
             return _empty_vertex_set(dim), stacked
@@ -475,10 +480,12 @@ def enumerate_vertices(
     state = _DDState(pts[order_ids], masks[order_ids], edges)
 
     center = (lo + hi) / 2.0
+    order = _insertion_order(p.normals, p.offsets, center)
     truncated = False
-    for k in _insertion_order(p.normals, p.offsets, center):
+    for k in order:
         state = _insert_halfspace(
-            state, p.normals[k], p.offsets[k], int(k), dim, words, tol
+            state, p.normals[k], p.offsets[k], int(k), dim, words, tol,
+            need_edges=k != order[-1],
         )
         if state is None:
             return _empty_vertex_set(dim)

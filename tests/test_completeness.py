@@ -1,5 +1,6 @@
 """P(a) is complete: it keeps every payoff the full 2S-dimensional problem
-enforces, and folding unreachable signals out of it changes nothing.
+enforces, and neither folding unreachable signals out of it nor screening
+its deviation rows over W^k changes it.
 
 The reference is posed on the unfolded problem (continuations on every
 signal block, all deviation rows) and solved as one LP per direction, so
@@ -14,6 +15,8 @@ from ppesolve import aps
 from ppesolve.aps import (
     Certificate,
     SolverConfig,
+    _cutting_rows,
+    _fold_unreachable_signals,
     _payoff_map,
     apply_B,
     enforceable_payoffs,
@@ -22,7 +25,7 @@ from ppesolve.aps import (
     verify_enforceability,
 )
 from ppesolve.game import StageGame, individually_rational_set
-from ppesolve.geometry import PolygonV, Tolerances, contains_point, convex_hull, hausdorff
+from ppesolve.geometry import PolygonV, Tolerances, area, contains_point, convex_hull, hausdorff
 from ppesolve.vertex_enum import affine_image_2d, enumerate_product, product_polytope
 
 ANGLES = 2 * np.pi * (np.arange(32) + 0.25) / 32
@@ -170,6 +173,8 @@ class TestFold:
 
     @staticmethod
     def blocks_enumerated(game, delta, monkeypatch):
+        # one recorded call per profile: at W0 with delta 0.9 the row
+        # screen settles no Cournot or PD profile, so each one enumerates
         seen = []
 
         def recording(w, num_signals, *args):
@@ -195,3 +200,113 @@ class TestFold:
     def test_pd_keeps_every_block(self, pd_game, monkeypatch):
         counts = self.blocks_enumerated(pd_game, 0.9, monkeypatch)
         assert set(counts.values()) == {2}
+
+
+def screen_branch(game, a, delta, w, tol):
+    """Which way the row screen settles profile `a`, or None if infeasible."""
+    ic = ic_constraints(game, a, delta)
+    if ic.infeasible:
+        return None
+    kept, normals, offsets = _fold_unreachable_signals(game, a, ic, w)
+    rows = _cutting_rows(w, len(kept), normals, offsets, tol)
+    if rows is None:
+        return "empty"
+    if len(rows) == 0:
+        return "no row left"
+    return "rows dropped" if len(rows) < len(offsets) else "every row kept"
+
+
+def assert_matches_unscreened(game, delta, ws, tol):
+    """P(a) equals the hull of the image of the folded, unscreened
+    enumeration, on every profile and every W in ws."""
+    for w in ws:
+        for a in game.profiles():
+            p, _ = enforceable_payoffs(game, a, delta, w, tol)
+            ic = ic_constraints(game, a, delta)
+            if ic.infeasible:
+                assert p.is_empty
+                continue
+            kept, normals, offsets = _fold_unreachable_signals(game, a, ic, w)
+            vs, _ = enumerate_product(w, len(kept), normals, offsets, tol)
+            M, c = _payoff_map(game, a, delta)
+            cols = (2 * kept[:, None] + np.arange(2)).ravel()
+            ref = convex_hull(affine_image_2d(vs, M[:, cols], c), tol)
+            assert p.is_empty == ref.is_empty, f"P{a}: screen and enumeration disagree"
+            if not ref.is_empty:
+                assert hausdorff(p, ref) <= 2 * tol.eps_point, f"P{a} moved"
+
+
+def solve_iterates(game, delta, theta):
+    rep = solve(game, SolverConfig(delta=delta, theta=theta))
+    return [PolygonV(t.vertices) for t in rep.trace], rep.tolerances
+
+
+@pytest.fixture(scope="module")
+def collapse_iterates(cournot_game):
+    return solve_iterates(cournot_game, 0.5, 0.0)  # the cournot-collapse benchmark
+
+
+@pytest.fixture(scope="module")
+def criterion_04_iterates(cournot_game):
+    return solve_iterates(cournot_game, 0.9, 0.05)
+
+
+class TestRowScreen:
+    W = PolygonV(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]))
+
+    def test_cournot_collapse_iterates(self, cournot_game, collapse_iterates):
+        assert_matches_unscreened(cournot_game, 0.5, *collapse_iterates)
+
+    def test_criterion_04_iterates(self, cournot_game, criterion_04_iterates):
+        assert_matches_unscreened(cournot_game, 0.9, *criterion_04_iterates)
+
+    @pytest.mark.parametrize("seed", SPARSE_SEEDS)
+    def test_sparse_support_games(self, seed):
+        game, ws = sparse_support_case(seed)
+        assert_matches_unscreened(game, SPARSE_DELTA, ws, Tolerances().scaled(game.payoff_magnitude))
+
+    def test_every_branch_fires(self, cournot_game, collapse_iterates, criterion_04_iterates):
+        cases = [(cournot_game, 0.5, *collapse_iterates), (cournot_game, 0.9, *criterion_04_iterates)]
+        for seed in SPARSE_SEEDS:
+            game, ws = sparse_support_case(seed)
+            cases.append((game, SPARSE_DELTA, ws, Tolerances().scaled(game.payoff_magnitude)))
+        branches = {
+            screen_branch(game, a, delta, w, tol)
+            for game, delta, ws, tol in cases
+            for w in ws
+            for a in game.profiles()
+        }
+        assert {"empty", "no row left", "rows dropped", "every row kept"} <= branches
+
+    @staticmethod
+    def one_row_game(gain):
+        """Player 1 alone moves; deviating is detected and gains `gain`."""
+        probs = np.array([[[0.9, 0.1]], [[0.1, 0.9]]])
+        payoffs = np.array([[[0.0, 0.0]], [[gain, 0.0]]])
+        return StageGame((("a0", "a1"), ("b",)), payoffs, ("y0", "y1"), probs)
+
+    @pytest.fixture
+    def no_enumeration(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the row screen should have settled this profile")
+
+        monkeypatch.setattr(aps, "enumerate_product", refuse)
+
+    def test_row_minimum_above_offset_is_empty(self, no_enumeration):
+        game = self.one_row_game(100.0)
+        ic = ic_constraints(game, (0, 0), 0.5)
+        assert len(ic.offsets) == 1
+        lowest = sum((ic.normals[0].reshape(2, 2) @ self.W.vertices.T).min(axis=1))
+        assert lowest > ic.offsets[0]
+        p, truncated = enforceable_payoffs(game, (0, 0), 0.5, self.W)
+        assert p.is_empty and not truncated
+
+    def test_all_slack_profile_is_discounted_stage_payoff_plus_w(self, no_enumeration):
+        game = self.one_row_game(-100.0)
+        delta = 0.5
+        scale = max(1.0, game.payoff_magnitude)
+        p, truncated = enforceable_payoffs(game, (0, 0), delta, self.W)
+        expected = convex_hull((1 - delta) * game.payoffs[0, 0] + delta * self.W.vertices)
+        assert not truncated and p.num_vertices == 4
+        assert hausdorff(p, expected) <= 1e-12 * scale
+        assert abs(area(p) - delta**2) <= 1e-12 * scale

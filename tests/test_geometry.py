@@ -37,6 +37,19 @@ def random_hull(n_points=12, scale=3.0, rng=RNG):
     return convex_hull(rng.uniform(-scale, scale, size=(n_points, 2)))
 
 
+class TestTolerances:
+    @pytest.mark.parametrize("field", ["eps_point", "eps_side"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 0.0, -1e-9])
+    def test_rejects_non_finite_or_non_positive(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            Tolerances(**{field: value})
+
+    def test_scaling_to_infinity_is_rejected(self):
+        assert Tolerances().scaled(10) == Tolerances(1e-8, 1e-8)
+        with pytest.raises(ValueError):
+            Tolerances().scaled(float("inf"))
+
+
 class TestConvexHull:
     def test_interior_point_dropped(self):
         p = convex_hull([(0, 0), (1, 0), (0, 1), (0.2, 0.2)])
