@@ -27,25 +27,18 @@ from .game import (
     serialize_game,
 )
 from .geometry import (
-    DegenerateInputError,
-    PolygonH,
     PolygonV,
     Tolerances,
-    UnboundedSetError,
     area,
     convex_hull,
+    halfspace_rows,
     hausdorff,
     intersect_halfplane,
     rdp_simplify,
-    to_halfspaces,
-    to_vertices,
 )
 from .vertex_enum import (
     HPolytope,
-    UnboundedPolytopeError,
     VertexSet,
-    affine_image_2d,
-    enumerate_vertices,
     product_polytope,
 )
 
@@ -54,29 +47,24 @@ __version__ = "0.1.0"
 __all__ = [
     "BResult",
     "Certificate",
-    "DegenerateInputError",
     "GameFormatError",
     "HPolytope",
     "ICSystem",
     "MinmaxPair",
     "PayoffSetPair",
-    "PolygonH",
     "PolygonV",
     "Refusal",
     "Report",
     "SolverConfig",
     "StageGame",
     "Tolerances",
-    "UnboundedPolytopeError",
-    "UnboundedSetError",
     "VertexSet",
-    "affine_image_2d",
     "apply_B",
     "area",
     "convex_hull",
     "enforceable_payoffs",
-    "enumerate_vertices",
     "feasible_set",
+    "halfspace_rows",
     "hausdorff",
     "ic_constraints",
     "individually_rational_set",
@@ -88,7 +76,5 @@ __all__ = [
     "rdp_simplify",
     "serialize_game",
     "solve",
-    "to_halfspaces",
-    "to_vertices",
     "verify_enforceability",
 ]

@@ -31,17 +31,11 @@ from .geometry import (
     Tolerances,
     area,
     convex_hull,
-    halfspace_rows,
     hausdorff,
     intersect_polygons,
     rdp_simplify,
 )
-from .vertex_enum import (
-    DEFAULT_VERTEX_CAP,
-    affine_image_2d,
-    enumerate_product,
-    product_polytope,
-)
+from .vertex_enum import DEFAULT_VERTEX_CAP, enumerate_product, product_polytope
 
 
 # relative rounding bound per term of a dot product, with room to spare
@@ -270,7 +264,8 @@ def enforceable_payoffs(
     all sit on one vertex of W (`_extreme_candidates`).
 
     Returns (PolygonV, truncated).  An empty polygon means `a` is not
-    enforceable against W.
+    enforceable against W, unless truncated is set: then the vertex cap
+    stopped the enumeration and P(a) is unknown.
     """
     if w.is_empty:
         return PolygonV.empty(), False
@@ -290,11 +285,9 @@ def enforceable_payoffs(
     vs, _ = enumerate_product(w, len(kept), normals[rows], offsets[rows], tol, DEFAULT_VERTEX_CAP)
     if vs.is_empty:
         return PolygonV.empty(), vs.truncated
-    pts = affine_image_2d(vs, M[:, cols], c)
-    if not vs.truncated:
-        emitted = game.signal_probs[a[0], a[1]][kept] > 0
-        pts = pts[_extreme_candidates(vs, len(rows), emitted)]
-    return convex_hull(pts, tol), vs.truncated
+    emitted = game.signal_probs[a[0], a[1]][kept] > 0
+    pts = (vs.points @ M[:, cols].T + c)[_extreme_candidates(vs, len(rows), emitted)]
+    return convex_hull(pts, tol), False
 
 
 def apply_B(
@@ -359,6 +352,15 @@ def solve(game: StageGame, config: SolverConfig) -> Report:
         t0 = time.perf_counter()
         res = apply_B(game, config.delta, w, config.theta, tol)
         wall_ms = (time.perf_counter() - t0) * 1e3
+        if res.truncated:
+            # a profile's P(a) is unknown, so B(W) is too; W stays the
+            # last complete iterate
+            stop_reason = "truncated"
+            message = (
+                f"vertex cap exceeded in iteration {k}: the last complete "
+                f"iterate ({k - 1}) is reported, not converged"
+            )
+            break
         # boundary simplification trims vertices inward, so a later
         # application of the operator may partially regrow past the
         # previous iterate; clipping restores the monotone descent
@@ -371,13 +373,6 @@ def solve(game: StageGame, config: SolverConfig) -> Report:
                 k, new.vertices, a_new, a_prev - a_new, hd, enforceable, wall_ms
             )
         )
-        if res.truncated:
-            stop_reason = "truncated"
-            message = (
-                "vertex cap exceeded: the result is not a valid upper bound"
-            )
-            w = new
-            break
         if new.is_empty:
             stop_reason = "empty_set"
             message = (

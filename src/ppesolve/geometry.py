@@ -3,7 +3,8 @@
 All polygons are kept in a canonical V-form: counter-clockwise vertex
 order starting at the lexicographically smallest vertex, with duplicate
 and collinear vertices removed.  An empty vertex list encodes the empty
-set, one vertex a point, two vertices a segment.
+set, one vertex a point, two vertices a segment.  Halfspace rows are
+derived from that form on demand (`halfspace_rows`).
 """
 
 from __future__ import annotations
@@ -12,14 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-
-class DegenerateInputError(ValueError):
-    """Raised when a full-dimensional polygon was required."""
-
-
-class UnboundedSetError(ValueError):
-    """Raised when a halfspace system describes an unbounded set."""
 
 
 @dataclass(frozen=True)
@@ -82,26 +75,6 @@ class PolygonV:
     @staticmethod
     def empty() -> "PolygonV":
         return PolygonV(np.zeros((0, 2)))
-
-
-@dataclass(frozen=True)
-class PolygonH:
-    """Convex polygon as n.x <= b rows with unit normals."""
-
-    normals: np.ndarray  # (m, 2), each row unit length
-    offsets: np.ndarray  # (m,)
-
-    def __post_init__(self):
-        n = np.asarray(self.normals, dtype=float).reshape(-1, 2)
-        b = np.asarray(self.offsets, dtype=float).reshape(-1)
-        n.setflags(write=False)
-        b.setflags(write=False)
-        object.__setattr__(self, "normals", n)
-        object.__setattr__(self, "offsets", b)
-
-    @property
-    def num_rows(self) -> int:
-        return self.normals.shape[0]
 
 
 def _close_pairs(points: np.ndarray, eps: float):
@@ -281,10 +254,10 @@ def convex_hull(points, tol: Tolerances = DEFAULT_TOL) -> PolygonV:
     if len(verts) == 2:
         # all points (near-)collinear: the two survivors are the ends
         return PolygonV(np.array(sorted(verts)))
-    return canonicalize(np.array(verts), tol)
+    return canonicalize(np.array(verts))
 
 
-def canonicalize(vertices: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> PolygonV:
+def canonicalize(vertices: np.ndarray) -> PolygonV:
     """Rotate a CCW vertex cycle so it starts at the lexicographic minimum."""
     v = np.asarray(vertices, dtype=float).reshape(-1, 2)
     if len(v) <= 1:
@@ -293,25 +266,10 @@ def canonicalize(vertices: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> Polygon
     return PolygonV(np.roll(v, -start, axis=0))
 
 
-def to_halfspaces(p: PolygonV, tol: Tolerances = DEFAULT_TOL) -> PolygonH:
-    """One outward-normal row per edge of a full-dimensional polygon."""
-    if not p.is_full_dim:
-        raise DegenerateInputError(
-            "halfspace form needs >= 3 vertices; use halfspace_rows for "
-            "degenerate sets"
-        )
-    v = p.vertices
-    e = np.roll(v, -1, axis=0) - v
-    normals = np.column_stack([e[:, 1], -e[:, 0]])
-    lens = np.hypot(normals[:, 0], normals[:, 1])
-    normals = normals / lens[:, None]
-    offsets = np.einsum("ij,ij->i", normals, v)
-    return PolygonH(normals, offsets)
-
-
-def halfspace_rows(p: PolygonV, tol: Tolerances = DEFAULT_TOL):
+def halfspace_rows(p: PolygonV):
     """Halfspace rows for any nonempty polygon, degenerate sets included.
 
+    A full-dimensional polygon gets one unit outward-normal row per edge.
     Points and segments are emitted as equality pairs (n.x <= b and
     -n.x <= -b) so that downstream polytope machinery never sees a
     lower-dimensional set as a special case.  Returns (normals, offsets).
@@ -331,48 +289,11 @@ def halfspace_rows(p: PolygonV, tol: Tolerances = DEFAULT_TOL):
         normals = np.array([n, -n, t, -t])
         offsets = np.array([n @ a, -(n @ a), t @ b, -(t @ a)])
         return normals, offsets
-    h = to_halfspaces(p, tol)
-    return h.normals.copy(), h.offsets.copy()
-
-
-def to_vertices(p: PolygonH, tol: Tolerances = DEFAULT_TOL) -> PolygonV:
-    """Canonical V-form of a bounded 2-D halfspace system.
-
-    Vertices are pairwise row intersections filtered by feasibility; this
-    is exact for the small systems that occur here and has no incremental
-    tolerance drift.
-    """
-    n, b = p.normals, p.offsets
-    m = len(n)
-    if m == 0:
-        raise UnboundedSetError("no constraints: the whole plane")
-    _check_bounded_2d(n, b)
-    scale = max(1.0, float(np.max(np.abs(b))) if m else 1.0)
-    eps = tol.eps_side * scale
-
-    # all pairwise line intersections
-    i, j = np.triu_indices(m, k=1)
-    det = n[i, 0] * n[j, 1] - n[i, 1] * n[j, 0]
-    ok = np.abs(det) > 1e-12
-    i, j, det = i[ok], j[ok], det[ok]
-    if len(i) == 0:
-        return PolygonV.empty()
-    x = (b[i] * n[j, 1] - b[j] * n[i, 1]) / det
-    y = (n[i, 0] * b[j] - n[j, 0] * b[i]) / det
-    cand = np.column_stack([x, y])
-    feas = np.all(cand @ n.T - b <= eps, axis=1)
-    pts = cand[feas]
-    if len(pts) == 0:
-        return PolygonV.empty()
-    return convex_hull(pts, tol)
-
-
-def _check_bounded_2d(normals: np.ndarray, offsets: np.ndarray) -> None:
-    """Bounded iff the outward normals positively span the plane."""
-    angles = np.sort(np.arctan2(normals[:, 1], normals[:, 0]))
-    gaps = np.diff(angles, append=angles[0] + 2 * np.pi)
-    if np.max(gaps) >= np.pi - 1e-12:
-        raise UnboundedSetError("halfspace normals leave a recession direction")
+    v = p.vertices
+    e = np.roll(v, -1, axis=0) - v
+    normals = np.column_stack([e[:, 1], -e[:, 0]])
+    normals = normals / np.hypot(normals[:, 0], normals[:, 1])[:, None]
+    return normals, np.einsum("ij,ij->i", normals, v)
 
 
 def intersect_halfplane(
@@ -438,9 +359,9 @@ def _dists_to_polygon(qs: np.ndarray, p: PolygonV) -> np.ndarray:
         return np.hypot(qs[:, 0] - v[0, 0], qs[:, 1] - v[0, 1])
     if p.is_segment:
         return _point_segment_dists(qs, v[:1], v[1:])[:, 0]
-    h = to_halfspaces(p)
+    normals, offsets = halfspace_rows(p)
     d = _point_segment_dists(qs, v, np.roll(v, -1, axis=0)).min(axis=1)
-    d[np.all(qs @ h.normals.T - h.offsets <= 0.0, axis=1)] = 0.0
+    d[np.all(qs @ normals.T - offsets <= 0.0, axis=1)] = 0.0
     return d
 
 
@@ -501,7 +422,7 @@ def intersect_polygons(p: PolygonV, q: PolygonV, tol: Tolerances = DEFAULT_TOL) 
     """Intersection of two convex polygons (q may be degenerate)."""
     if p.is_empty or q.is_empty:
         return PolygonV.empty()
-    normals, offsets = halfspace_rows(q, tol)
+    normals, offsets = halfspace_rows(q)
     out = p
     for n, b in zip(normals, offsets):
         out = intersect_halfplane(out, n, b, tol)

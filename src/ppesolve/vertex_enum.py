@@ -1,18 +1,21 @@
-"""Vertex enumeration for bounded H-polytopes in continuation space.
+"""Vertices of a product polytope W^k cut by extra rows.
 
-The enumerator keeps a double description of the working polytope:
-vertex coordinates plus, per vertex, the bitmask of active rows and an
-explicit edge list.  Halfspaces are inserted one at a time; each cut
-clips crossing edges and reconstructs the adjacency on the new facet
-with the combinatorial active-set test, except the last cut, after
-which no edge is read.  Everything is deterministic:
-rows are inserted in a fixed heuristic order and results are returned in
+W is a 2-D polygon, so W^k (one copy per signal block) has the tuples of
+W's vertices as its vertices and is seeded from them directly.  The
+enumerator keeps a double description of the working polytope: vertex
+coordinates plus, per vertex, the bitmask of active rows and an explicit
+edge list.  The extra rows are inserted one at a time; each cut clips
+crossing edges and reconstructs the adjacency on the new facet with the
+combinatorial active-set test, except the last cut, after which no edge
+is read.  When the seed or a cut exceeds the vertex cap, the result is
+empty and marked truncated.  Everything is deterministic: rows are
+inserted in a fixed heuristic order and results are returned in
 lexicographic vertex order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,9 +24,9 @@ from .geometry import PolygonV, Tolerances, DEFAULT_TOL, greedy_cluster, halfspa
 
 DEFAULT_VERTEX_CAP = 200_000
 
-
-class UnboundedPolytopeError(ValueError):
-    """A recession direction survived: vertex enumeration is undefined."""
+# beyond this many candidate vertices the rank test is skipped: the
+# active-row count alone filters them
+_RANK_CHECK_LIMIT = 2000
 
 
 @dataclass(frozen=True)
@@ -51,7 +54,8 @@ class HPolytope:
 
 @dataclass(frozen=True)
 class VertexSet:
-    """Enumerated vertices with their active rows."""
+    """Enumerated vertices with their active rows; a truncated set is
+    empty, because the enumeration stopped at the vertex cap."""
 
     points: np.ndarray  # (n, dim)
     active: np.ndarray  # (n, rows) bool: row r is tight at point k
@@ -60,11 +64,6 @@ class VertexSet:
     @property
     def num_points(self) -> int:
         return self.points.shape[0]
-
-    @property
-    def tags(self) -> tuple:
-        """Active row index sets as frozensets, aligned with points."""
-        return tuple(frozenset(np.flatnonzero(row).tolist()) for row in self.active)
 
     @property
     def is_empty(self) -> bool:
@@ -228,25 +227,19 @@ def _insertion_order(normals, offsets, center):
     return np.argsort(-tightness, kind="stable")
 
 
-def _finalize(
-    points: np.ndarray,
-    polytope: HPolytope,
-    tol: Tolerances,
-    truncated: bool,
-    rank_check_limit: int = 2000,
-) -> VertexSet:
+def _finalize(points: np.ndarray, polytope: HPolytope, tol: Tolerances) -> VertexSet:
     """Recompute active sets against the polytope's own rows, filter
     non-vertices, and emit in lexicographic order."""
     dim = polytope.dim
     if len(points) == 0:
-        return _empty_vertex_set(dim, truncated)
+        return _empty_vertex_set(dim)
     n_rows, b_rows = polytope.normals, polytope.offsets
     slack = points @ n_rows.T - b_rows
     eps = tol.eps_side * np.maximum(1.0, np.abs(b_rows))
     active = np.abs(slack) <= eps
     enough = active.sum(axis=1) >= dim
     points, active = points[enough], active[enough]
-    if 0 < len(points) <= rank_check_limit:
+    if 0 < len(points) <= _RANK_CHECK_LIMIT:
         # each point's active rows, padded with zero rows to a common
         # count; zero rows leave the singular values unchanged
         width = int(active.sum(axis=1).max())
@@ -255,24 +248,24 @@ def _finalize(
         ok = np.linalg.matrix_rank(stack, tol=1e-8) >= dim
         points, active = points[ok], active[ok]
     if len(points) == 0:
-        return _empty_vertex_set(dim, truncated)
+        return _empty_vertex_set(dim)
     order = np.lexsort(points.T[::-1])
     points = points[order]
-    return VertexSet(points, active[order], truncated)
+    return VertexSet(points, active[order])
 
 
 # ---------------------------------------------------------------------------
 # public operations
 
 
-def product_polytope(w, num_signals: int) -> HPolytope:
-    """Replicate a 2-D halfspace system on each signal's coordinate block.
+def product_polytope(w: PolygonV, num_signals: int) -> HPolytope:
+    """Replicate W's halfspace rows on each signal's coordinate block.
 
-    `w` is a PolygonH, a PolygonV (degenerate sets use equality pairs),
-    or a (normals, offsets) pair.  Row j of signal block y lands at index
-    y * m + j, acting on coordinates (2y, 2y+1).
+    Degenerate sets use equality pairs (see `halfspace_rows`).  Row j of
+    signal block y lands at index y * m + j, acting on coordinates
+    (2y, 2y+1).
     """
-    normals2, offsets2 = _rows_of(w)
+    normals2, offsets2 = halfspace_rows(w)
     m = len(offsets2)
     dim = 2 * num_signals
     normals = np.zeros((m * num_signals, dim))
@@ -283,26 +276,16 @@ def product_polytope(w, num_signals: int) -> HPolytope:
     return HPolytope(dim, normals, offsets)
 
 
-def _rows_of(w):
-    if isinstance(w, PolygonV):
-        return halfspace_rows(w)
-    if hasattr(w, "normals"):
-        return np.asarray(w.normals, dtype=float), np.asarray(w.offsets, dtype=float)
-    normals, offsets = w
-    return np.asarray(normals, dtype=float), np.asarray(offsets, dtype=float)
-
-
-def _polygon_seed(w: PolygonV, tol: Tolerances):
-    """2-D seed data: rows, per-vertex active row sets, edge list."""
-    normals, offsets = halfspace_rows(w, tol)
+def _polygon_seed(w: PolygonV):
+    """Per W vertex its active rows of `halfspace_rows(w)`; W's edges."""
     m = w.num_vertices
     if w.is_point:
-        return normals, offsets, w.vertices, [{0, 1, 2, 3}], []
+        return [{0, 1, 2, 3}], []
     if w.is_segment:
-        return normals, offsets, w.vertices, [{0, 1, 3}, {0, 1, 2}], [(0, 1)]
+        return [{0, 1, 3}, {0, 1, 2}], [(0, 1)]
     vact = [{(k - 1) % m, k} for k in range(m)]
     edges = [(k, (k + 1) % m) for k in range(m)]
-    return normals, offsets, w.vertices, vact, edges
+    return vact, edges
 
 
 def enumerate_product(
@@ -316,36 +299,34 @@ def enumerate_product(
     """Vertices of (W^num_signals intersected with extra rows).
 
     Returns (VertexSet, HPolytope) where the polytope stacks the product
-    rows first and the extra rows after them; tags index that stacking.
-    The product seed is built directly from W's vertex tuples, so only
-    the extra rows go through incremental insertion.
+    rows first and the extra rows after them; the VertexSet's active
+    columns index that stacking.  The product seed is built directly
+    from W's vertex tuples, so only the extra rows go through
+    incremental insertion.  If the seed or a cut has more than `cap`
+    vertices, the VertexSet is empty and truncated.
     """
-    n2, b2, v2, vact, edges2 = _polygon_seed(w, tol)
+    vact, edges2 = _polygon_seed(w)
+    v2 = w.vertices
     S = num_signals
     dim = 2 * S
-    m2 = len(b2)
     mv = len(v2)
+    prod = product_polytope(w, S)
+    m2 = prod.num_rows // S
     extra_normals = np.asarray(extra_normals, dtype=float).reshape(-1, dim)
     extra_offsets = np.asarray(extra_offsets, dtype=float).reshape(-1)
     stacked = HPolytope(
         dim,
-        np.vstack([product_polytope((n2, b2), S).normals, extra_normals]),
-        np.concatenate([np.tile(b2, S), extra_offsets]),
+        np.vstack([prod.normals, extra_normals]),
+        np.concatenate([prod.offsets, extra_offsets]),
     )
-    total_rows = m2 * S + len(extra_offsets)
-    words = _words_for(total_rows)
-
-    total = mv**S
-    if total > cap:
-        # seed alone exceeds the cap: emit a truncated prefix, uncut
-        digits = _mixed_radix_prefix(mv, S, cap)
-        pts = _tuple_points(digits, v2, S)
-        return _finalize(pts, stacked, tol, truncated=True), stacked
+    words = _words_for(stacked.num_rows)
+    if mv**S > cap:
+        return _empty_vertex_set(dim, truncated=True), stacked
 
     digits = np.stack(
         np.meshgrid(*([np.arange(mv)] * S), indexing="ij"), axis=-1
     ).reshape(-1, S)
-    pts = _tuple_points(digits, v2, S)
+    pts = v2[digits].reshape(len(digits), dim)
     # a seed point's active rows are those of its W vertex in each block
     templates = np.zeros((S, mv, words), dtype=np.uint64)
     for y in range(S):
@@ -367,7 +348,6 @@ def enumerate_product(
 
     center = pts.mean(axis=0)
     order = _insertion_order(extra_normals, extra_offsets, center)
-    truncated = False
     for k in order:
         state = _insert_halfspace(
             state,
@@ -382,123 +362,6 @@ def enumerate_product(
         if state is None:
             return _empty_vertex_set(dim), stacked
         if state.num_points > cap:
-            truncated = True
-            break
-    return _finalize(state.points, stacked, tol, truncated), stacked
+            return _empty_vertex_set(dim, truncated=True), stacked
+    return _finalize(state.points, stacked, tol), stacked
 
-
-def _tuple_points(digits, v2, S):
-    pts = np.zeros((len(digits), 2 * S))
-    for y in range(S):
-        pts[:, 2 * y : 2 * y + 2] = v2[digits[:, y]]
-    return pts
-
-
-def _mixed_radix_prefix(mv, S, count):
-    out = np.zeros((count, S), dtype=np.int64)
-    vals = np.arange(count)
-    for y in range(S - 1, -1, -1):
-        out[:, y] = vals % mv
-        vals //= mv
-    return out
-
-
-def _coordinate_bounds(p: HPolytope):
-    """Per-coordinate LP bounds; raises on unbounded, None when empty."""
-    from scipy.optimize import linprog  # the solve path never bounds by LP
-
-    lo = np.zeros(p.dim)
-    hi = np.zeros(p.dim)
-    for k in range(p.dim):
-        for sign, tgt in ((1.0, lo), (-1.0, hi)):
-            c = np.zeros(p.dim)
-            c[k] = sign
-            res = linprog(
-                c,
-                A_ub=p.normals,
-                b_ub=p.offsets,
-                bounds=[(None, None)] * p.dim,
-                method="highs",
-            )
-            if res.status == 3:
-                raise UnboundedPolytopeError(
-                    f"coordinate {k} is unbounded ({'below' if sign > 0 else 'above'})"
-                )
-            if res.status == 2:
-                return None
-            if res.status != 0:
-                raise RuntimeError(f"bounding LP failed: {res.message}")
-            tgt[k] = sign * res.fun if sign > 0 else -res.fun
-    return lo, hi
-
-
-def enumerate_vertices(
-    p: HPolytope,
-    tol: Tolerances = DEFAULT_TOL,
-    cap: int = DEFAULT_VERTEX_CAP,
-    bounds=None,
-) -> VertexSet:
-    """All vertices of a bounded H-polytope, in lexicographic order.
-
-    An enclosing padded box seeds the double description; the polytope's
-    rows are then inserted most-cutting-first.  Boundedness is certified
-    by per-coordinate LPs unless explicit bounds are supplied.
-    """
-    dim = p.dim
-    if bounds is None:
-        bb = _coordinate_bounds(p)
-        if bb is None:
-            return _empty_vertex_set(dim)
-        lo, hi = bb
-    else:
-        lo = np.asarray(bounds[0], dtype=float)
-        hi = np.asarray(bounds[1], dtype=float)
-    pad = 1.0 + 0.1 * max(1.0, float(np.max(np.abs(np.concatenate([lo, hi])))))
-    lo = lo - pad
-    hi = hi + pad
-
-    m = p.num_rows
-    words = _words_for(m + 2 * dim)
-    corners = np.stack(
-        np.meshgrid(*([np.array([0, 1])] * dim), indexing="ij"), axis=-1
-    ).reshape(-1, dim)
-    pts = np.where(corners == 1, hi, lo).astype(float)
-    masks = np.zeros((len(pts), words), dtype=np.uint64)
-    for k in range(dim):
-        hi_bit = _bit(m + 2 * k, words)
-        lo_bit = _bit(m + 2 * k + 1, words)
-        masks[corners[:, k] == 1] |= hi_bit
-        masks[corners[:, k] == 0] |= lo_bit
-    edge_parts = []
-    weights = 2 ** np.arange(dim - 1, -1, -1)
-    ids = corners @ weights
-    for k in range(dim):
-        sel = corners[:, k] == 0
-        edge_parts.append(np.column_stack([ids[sel], ids[sel] + weights[k]]))
-    edges = _sorted_unique_edges(np.vstack(edge_parts).astype(np.int64))
-    order_ids = np.argsort(ids, kind="stable")
-    state = _DDState(pts[order_ids], masks[order_ids], edges)
-
-    center = (lo + hi) / 2.0
-    order = _insertion_order(p.normals, p.offsets, center)
-    truncated = False
-    for k in order:
-        state = _insert_halfspace(
-            state, p.normals[k], p.offsets[k], int(k), dim, words, tol,
-            need_edges=k != order[-1],
-        )
-        if state is None:
-            return _empty_vertex_set(dim)
-        if state.num_points > cap:
-            truncated = True
-            break
-    return _finalize(state.points, p, tol, truncated)
-
-
-def affine_image_2d(vs: VertexSet, M: np.ndarray, c) -> np.ndarray:
-    """Push every vertex through x -> Mx + c (M is 2 x dim)."""
-    M = np.asarray(M, dtype=float)
-    c = np.asarray(c, dtype=float).reshape(2)
-    if vs.is_empty:
-        return np.zeros((0, 2))
-    return vs.points @ M.T + c

@@ -25,10 +25,10 @@ from ppesolve.geometry import (
     contains_point,
     contains_polygon,
     convex_hull,
+    halfspace_rows,
     intersect_polygons,
-    to_halfspaces,
 )
-from ppesolve.vertex_enum import HPolytope, enumerate_vertices
+from ppesolve.vertex_enum import enumerate_product
 
 from oracles import match_point_sets, polytope_vertices_bruteforce
 
@@ -63,7 +63,7 @@ def test_criterion_01_pd_setup(pd_game, capsys):
             "initial-set vertices wrong",
         )
     )
-    h = to_halfspaces(w0)
+    normals, offsets = halfspace_rows(w0)
     s10 = np.sqrt(10)
     expected = [
         ((1 / s10, 3 / s10), 8 / s10),
@@ -73,11 +73,11 @@ def test_criterion_01_pd_setup(pd_game, capsys):
     ]
     for n_exp, b_exp in expected:
         hit = np.any(
-            (np.linalg.norm(h.normals - n_exp, axis=1) < 1e-9)
-            & (np.abs(h.offsets - b_exp) < 1e-9)
+            (np.linalg.norm(normals - n_exp, axis=1) < 1e-9)
+            & (np.abs(offsets - b_exp) < 1e-9)
         )
         checks.append((bool(hit), f"missing inequality {n_exp} <= {b_exp}"))
-    checks.append((len(h.offsets) == 4, "expected exactly 4 inequalities"))
+    checks.append((len(offsets) == 4, "expected exactly 4 inequalities"))
     announce(capsys, "criterion 01: payoff-set setup", checks)
 
 
@@ -163,29 +163,45 @@ def test_criterion_06_myopic_oracle(capsys):
 
 
 def test_criterion_07_vertex_enum_oracle(capsys):
+    """W^k cut by random rows, for k in 1..3 and W a polygon, a segment
+    or a point: each row misses W^k, cuts it, or excludes all of it."""
     rng = np.random.default_rng(20240822)
     failures = []
+    seen = set()
     for trial in range(200):
-        dim = int(rng.integers(2, 5))
-        extra = int(rng.integers(0, 12 - 2 * dim + 1))
-        eye = np.eye(dim)
-        normals = [np.vstack([eye, -eye])]
-        offsets = [np.ones(2 * dim)]
-        if extra:
-            n = rng.normal(size=(extra, dim))
-            n /= np.linalg.norm(n, axis=1, keepdims=True)
-            anchors = rng.uniform(-0.7, 0.7, size=(extra, dim))
-            normals.append(n)
-            offsets.append(np.einsum("ij,ij->i", n, anchors))
-        p = HPolytope(dim, np.vstack(normals), np.concatenate(offsets))
-        got = enumerate_vertices(p).points
-        want = polytope_vertices_bruteforce(p.normals, p.offsets)
-        if not match_point_sets(got, want, 1e-7):
-            failures.append(f"trial {trial}: {len(got)} vs oracle {len(want)}")
+        k = int(rng.integers(1, 4))
+        shape = str(rng.choice(["polygon", "segment", "point"], p=[0.6, 0.2, 0.2]))
+        count = {"polygon": int(rng.integers(3, 10 - 2 * k)), "segment": 2, "point": 1}[shape]
+        w = convex_hull(rng.uniform(-1.0, 1.0, size=(count, 2)))
+        rows = int(rng.integers(0, 4))
+        normals = rng.normal(size=(rows, 2 * k))
+        normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+        # a row's least and greatest values over W^k, block by block
+        vals = normals.reshape(rows, k, 2) @ w.vertices.T
+        lo, hi = vals.min(axis=2).sum(axis=1), vals.max(axis=2).sum(axis=1)
+        offsets = np.zeros(rows)
+        for r in range(rows):
+            kind = str(rng.choice(["miss", "cut", "empty"], p=[0.25, 0.6, 0.15]))
+            if kind == "cut" and hi[r] - lo[r] < 0.1:
+                kind = "miss"  # W^k is too thin across this row to cut
+            offsets[r] = {
+                "miss": hi[r] + rng.uniform(0.05, 0.5),
+                "cut": lo[r] + rng.uniform(0.1, 0.9) * (hi[r] - lo[r]),
+                "empty": lo[r] - rng.uniform(0.05, 0.5),
+            }[kind]
+            seen.add(kind)
+        vs, stacked = enumerate_product(w, k, normals, offsets)
+        want = polytope_vertices_bruteforce(stacked.normals, stacked.offsets)
+        seen.add((shape, k, "empty" if len(want) == 0 else "nonempty"))
+        if vs.truncated or not match_point_sets(vs.points, want, 1e-7):
+            failures.append(f"trial {trial}: {len(vs.points)} vs oracle {len(want)}")
+    missing = {"miss", "cut", "empty"} - seen
+    missing |= {(s, k, "nonempty") for s in ("polygon", "segment", "point") for k in (1, 2, 3)} - seen
+    missing |= {("polygon", k, "empty") for k in (1, 2, 3)} - seen
     announce(
         capsys,
         "criterion 07: enumeration matches brute-force oracle (200 systems)",
-        [(not failures, "; ".join(failures[:3]))],
+        [(not failures, "; ".join(failures[:3])), (not missing, f"cases not drawn: {sorted(map(str, missing))}")],
     )
 
 

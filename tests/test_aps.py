@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ppesolve import aps
 from ppesolve.aps import (
     Certificate,
     Refusal,
@@ -229,6 +230,19 @@ class TestSolve:
         assert not rep.converged
         assert rep.stop_reason == "max_iter"
         assert len(rep.trace) == 4
+
+    def test_vertex_cap_reports_last_complete_iterate(self, pd_game, monkeypatch):
+        # with a cap of 1000 the exact PD run cannot finish iteration 6
+        monkeypatch.setattr(aps, "DEFAULT_VERTEX_CAP", 1000)
+        rep = solve(pd_game, SolverConfig(delta=0.9, max_iter=40))
+        assert rep.stop_reason == "truncated" and not rep.converged
+        assert rep.iterations == 5
+        assert "last complete iterate" in rep.message
+        assert np.array_equal(rep.final_set.vertices, rep.trace[-1].vertices)
+        monkeypatch.undo()
+        uncapped = solve(pd_game, SolverConfig(delta=0.9, max_iter=6))
+        assert uncapped.stop_reason == "max_iter"
+        assert rep.final_set.vertices.tobytes() == uncapped.trace[5].vertices.tobytes()
 
     def test_empty_rational_set_stops_immediately(self):
         # matching pennies: pure minmax (1, 1) lies outside the feasible set

@@ -26,7 +26,7 @@ from ppesolve.aps import (
 )
 from ppesolve.game import StageGame, individually_rational_set
 from ppesolve.geometry import PolygonV, Tolerances, area, contains_point, convex_hull, hausdorff
-from ppesolve.vertex_enum import affine_image_2d, enumerate_product, product_polytope
+from ppesolve.vertex_enum import enumerate_product, product_polytope
 
 ANGLES = 2 * np.pi * (np.arange(32) + 0.25) / 32
 DIRECTIONS = np.column_stack([np.cos(ANGLES), np.sin(ANGLES)])
@@ -164,7 +164,8 @@ class TestFold:
                     assert p.is_empty
                     continue
                 vs, _ = enumerate_product(w, game.num_signals, ic.normals, ic.offsets, tol)
-                ref = convex_hull(affine_image_2d(vs, *_payoff_map(game, a, SPARSE_DELTA)), tol)
+                M, c = _payoff_map(game, a, SPARSE_DELTA)
+                ref = convex_hull(vs.points @ M.T + c, tol)
                 assert p.is_empty == ref.is_empty
                 if not ref.is_empty:
                     compared += 1
@@ -230,7 +231,7 @@ def assert_matches_unscreened(game, delta, ws, tol):
             vs, _ = enumerate_product(w, len(kept), normals, offsets, tol)
             M, c = _payoff_map(game, a, delta)
             cols = (2 * kept[:, None] + np.arange(2)).ravel()
-            ref = convex_hull(affine_image_2d(vs, M[:, cols], c), tol)
+            ref = convex_hull(vs.points @ M[:, cols].T + c, tol)
             assert p.is_empty == ref.is_empty, f"P{a}: screen and enumeration disagree"
             if not ref.is_empty:
                 assert hausdorff(p, ref) <= 2 * tol.eps_point, f"P{a} moved"

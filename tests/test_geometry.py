@@ -4,23 +4,19 @@ from hypothesis import given, settings, strategies as st
 from scipy.spatial import ConvexHull
 
 from ppesolve.geometry import (
-    DegenerateInputError,
     PolygonV,
     Tolerances,
-    UnboundedSetError,
-    PolygonH,
     area,
     canonicalize,
     contains_polygon,
     convex_hull,
     dist_point_polygon,
     greedy_cluster,
+    halfspace_rows,
     hausdorff,
     intersect_halfplane,
     intersect_polygons,
     rdp_simplify,
-    to_halfspaces,
-    to_vertices,
 )
 
 from oracles import (
@@ -28,6 +24,7 @@ from oracles import (
     hausdorff_sampled,
     hull_vertices_lp,
     match_point_sets,
+    polytope_vertices_bruteforce,
 )
 
 RNG = np.random.default_rng(20240817)
@@ -139,15 +136,15 @@ class TestConvexHull:
 class TestHalfspaceConversion:
     def test_unit_square(self):
         sq = convex_hull([(0, 0), (1, 0), (1, 1), (0, 1)])
-        h = to_halfspaces(sq)
-        rows = {tuple(np.round(np.append(n, b), 9)) for n, b in zip(h.normals, h.offsets)}
+        normals, offsets = halfspace_rows(sq)
+        rows = {tuple(np.round(np.append(n, b), 9)) for n, b in zip(normals, offsets)}
         assert rows == {(1, 0, 1), (0, 1, 1), (-1, 0, 0), (0, -1, 0)}
 
     def test_pd_w0_matches_known_inequalities(self, pd_game):
         from ppesolve.game import individually_rational_set
 
         w0 = individually_rational_set(pd_game).individually_rational
-        h = to_halfspaces(w0)
+        normals, offsets = halfspace_rows(w0)
         # x1 + 3x2 <= 8, 3x1 + x2 <= 8, -x1 <= 0, -x2 <= 0 (unit-scaled)
         expected = [
             (np.array([1, 3]) / np.sqrt(10), 8 / np.sqrt(10)),
@@ -157,45 +154,26 @@ class TestHalfspaceConversion:
         ]
         for n_exp, b_exp in expected:
             hit = np.any(
-                (np.linalg.norm(h.normals - n_exp, axis=1) < 1e-9)
-                & (np.abs(h.offsets - b_exp) < 1e-9)
+                (np.linalg.norm(normals - n_exp, axis=1) < 1e-9)
+                & (np.abs(offsets - b_exp) < 1e-9)
             )
             assert hit, f"missing row {n_exp} <= {b_exp}"
 
     def test_degenerate_raises(self):
-        with pytest.raises(DegenerateInputError):
-            to_halfspaces(PolygonV(np.array([[0.0, 0.0], [1.0, 1.0]])))
+        # the empty set is the one polygon without a halfspace form
+        with pytest.raises(ValueError):
+            halfspace_rows(PolygonV.empty())
 
     @pytest.mark.parametrize("seed", range(50))
     def test_round_trip(self, seed):
         p = random_hull(rng=np.random.default_rng(1000 + seed))
-        back = to_vertices(to_halfspaces(p))
-        assert match_point_sets(back.vertices, p.vertices, 1e-7)
-
-    def test_figure_system_vertices(self):
-        h = PolygonH(
-            np.array([[1, 3], [3, 1], [-1, 0], [0, -1]], dtype=float)
-            / np.array([[np.sqrt(10)], [np.sqrt(10)], [1], [1]]),
-            np.array([8 / np.sqrt(10), 8 / np.sqrt(10), 0, 0]),
-        )
-        v = to_vertices(h)
-        assert match_point_sets(
-            v.vertices, [(0, 0), (8 / 3, 0), (2, 2), (0, 8 / 3)], 1e-9
-        )
+        back = polytope_vertices_bruteforce(*halfspace_rows(p))
+        assert match_point_sets(back, p.vertices, 1e-7)
 
     def test_pinned_point(self):
-        h = PolygonH(
-            np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]),
-            np.zeros(4),
-        )
-        v = to_vertices(h)
-        assert v.is_point
-        assert np.allclose(v.vertices[0], [0, 0])
-
-    def test_unbounded_raises(self):
-        h = PolygonH(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([1.0, 0.0]))
-        with pytest.raises(UnboundedSetError):
-            to_vertices(h)
+        normals, offsets = halfspace_rows(PolygonV(np.array([[0.5, -2.0]])))
+        v = polytope_vertices_bruteforce(normals, offsets)
+        assert np.allclose(v, [[0.5, -2.0]])
 
 
 class TestClipping:

@@ -2,47 +2,37 @@ import numpy as np
 import pytest
 
 from ppesolve import _kernels
-from ppesolve.geometry import PolygonV, Tolerances, convex_hull
+from ppesolve.geometry import PolygonV, Tolerances, contains_point, convex_hull
 from ppesolve.vertex_enum import (
     HPolytope,
-    UnboundedPolytopeError,
     _finalize,
     _sorted_unique_edges,
-    affine_image_2d,
     enumerate_product,
-    enumerate_vertices,
     product_polytope,
 )
 
 from oracles import adjacent_pairs_loop, match_point_sets, polytope_vertices_bruteforce
 
 TOL = Tolerances()
+SQUARE = convex_hull([(-1, -1), (1, -1), (1, 1), (-1, 1)])
 
 
-def box_polytope(dim, lo=-1.0, hi=1.0):
-    eye = np.eye(dim)
-    normals = np.vstack([eye, -eye])
-    offsets = np.concatenate([np.full(dim, hi), np.full(dim, -lo)])
-    return HPolytope(dim, normals, offsets)
-
-
-def random_bounded_system(rng, dim, extra_rows):
-    """A box plus random cutting planes through points near the origin."""
-    p = box_polytope(dim)
-    normals = rng.normal(size=(extra_rows, dim))
+def random_cut_system(rng, k, extra_rows, num_points):
+    """W, the hull of a few random points, and extra rows through random
+    points of W^k."""
+    w = convex_hull(rng.uniform(-1.0, 1.0, size=(num_points, 2)))
+    normals = rng.normal(size=(extra_rows, 2 * k))
     normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-    anchors = rng.uniform(-0.6, 0.6, size=(extra_rows, dim))
-    offsets = np.einsum("ij,ij->i", normals, anchors)
-    return HPolytope(
-        dim,
-        np.vstack([p.normals, normals]),
-        np.concatenate([p.offsets, offsets]),
-    )
+    weights = rng.dirichlet(np.ones(w.num_vertices), size=(extra_rows, k))
+    anchors = (weights @ w.vertices).reshape(extra_rows, 2 * k)
+    return w, normals, np.einsum("ij,ij->i", normals, anchors)
 
 
 class TestEnumerateVertices:
+    """Vertices of W^k cut by extra rows (`enumerate_product`)."""
+
     def test_hypercube_4d(self):
-        vs = enumerate_vertices(box_polytope(4))
+        vs, _ = enumerate_product(SQUARE, 2, np.zeros((0, 4)), np.zeros(0))
         assert len(vs.points) == 16
         assert match_point_sets(
             vs.points, np.array(np.meshgrid(*[[-1, 1]] * 4)).reshape(4, -1).T, 1e-9
@@ -50,39 +40,29 @@ class TestEnumerateVertices:
         assert not vs.truncated
 
     def test_simplex_4d(self):
-        dim = 4
-        normals = np.vstack([-np.eye(dim), np.ones((1, dim))])
-        offsets = np.concatenate([np.zeros(dim), [1.0]])
-        vs = enumerate_vertices(HPolytope(dim, normals, offsets))
-        expected = np.vstack([np.zeros((1, dim)), np.eye(dim)])
+        # [0,1]^4 cut by sum(x) <= 1 is the corner simplex
+        unit = convex_hull([(0, 0), (1, 0), (1, 1), (0, 1)])
+        vs, _ = enumerate_product(unit, 2, np.ones((1, 4)), np.array([1.0]))
+        expected = np.vstack([np.zeros((1, 4)), np.eye(4)])
         assert match_point_sets(vs.points, expected, 1e-9)
 
-    def test_unbounded_raises(self):
-        p = HPolytope(3, np.eye(3), np.ones(3))  # open toward -infinity
-        with pytest.raises(UnboundedPolytopeError):
-            enumerate_vertices(p)
-
     def test_empty_system(self):
-        p = HPolytope(
-            2,
-            np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]),
-            np.array([-1.0, -1.0, 1.0, 1.0]),  # x <= -1 and -x <= -1
-        )
-        vs = enumerate_vertices(p)
-        assert vs.is_empty
+        # x1 <= -2 misses [-1, 1]^2 entirely
+        vs, _ = enumerate_product(SQUARE, 1, np.array([[1.0, 0.0]]), np.array([-2.0]))
+        assert vs.is_empty and not vs.truncated
 
     def test_output_is_lexicographically_sorted(self):
-        vs = enumerate_vertices(box_polytope(3))
+        vs, _ = enumerate_product(SQUARE, 2, np.array([[1.0, 1.0, 1.0, 0.0]]), np.array([0.5]))
         pts = [tuple(p) for p in vs.points]
         assert pts == sorted(pts)
 
-    @pytest.mark.parametrize("dim", [2, 3, 4])
+    @pytest.mark.parametrize("k", [2, 3, 4])
     @pytest.mark.parametrize("seed", range(10))
-    def test_against_bruteforce_oracle(self, dim, seed):
-        rng = np.random.default_rng(dim * 1000 + seed)
-        p = random_bounded_system(rng, dim, extra_rows=5)
-        vs = enumerate_vertices(p)
-        oracle = polytope_vertices_bruteforce(p.normals, p.offsets)
+    def test_against_bruteforce_oracle(self, k, seed):
+        rng = np.random.default_rng(k * 1000 + seed)
+        w, normals, offsets = random_cut_system(rng, k, extra_rows=3, num_points=7 - k)
+        vs, stacked = enumerate_product(w, k, normals, offsets, TOL)
+        oracle = polytope_vertices_bruteforce(stacked.normals, stacked.offsets)
         assert match_point_sets(vs.points, oracle, 1e-7), (
             f"{len(vs.points)} vs oracle {len(oracle)}"
         )
@@ -90,28 +70,26 @@ class TestEnumerateVertices:
     @pytest.mark.parametrize("seed", range(5))
     def test_row_permutation_invariance(self, seed):
         rng = np.random.default_rng(7000 + seed)
-        p = random_bounded_system(rng, 3, extra_rows=6)
-        vs = enumerate_vertices(p)
-        perm = rng.permutation(len(p.offsets))
-        q = HPolytope(3, p.normals[perm], p.offsets[perm])
-        vs2 = enumerate_vertices(q)
+        w, normals, offsets = random_cut_system(rng, 2, extra_rows=6, num_points=6)
+        vs, _ = enumerate_product(w, 2, normals, offsets, TOL)
+        perm = rng.permutation(len(offsets))
+        vs2, _ = enumerate_product(w, 2, normals[perm], offsets[perm], TOL)
         assert match_point_sets(vs.points, vs2.points, 1e-8)
 
     def test_tags_are_active_rows(self):
-        p = box_polytope(2)
-        vs = enumerate_vertices(p)
-        for x, tag in zip(vs.points, vs.tags):
-            active = {
-                r
-                for r in range(len(p.offsets))
-                if abs(p.normals[r] @ x - p.offsets[r]) < 1e-9
-            }
-            assert set(tag) == active
-            assert len(tag) >= 2
+        vs, p = enumerate_product(SQUARE, 2, np.array([[1.0, 0.0, 1.0, 0.0]]), np.array([0.0]))
+        assert not vs.is_empty
+        for x, row in zip(vs.points, vs.active):
+            active = np.abs(p.normals @ x - p.offsets) < 1e-9
+            assert np.array_equal(row, active)
+            assert row.sum() >= 4
 
     def test_vertex_cap_marks_truncated(self):
-        vs = enumerate_vertices(box_polytope(4), cap=10)
-        assert vs.truncated
+        # 16 seed tuples, and the cut adds vertices past the cap of 17
+        vs, _ = enumerate_product(SQUARE, 2, np.array([[1.0, 1.0, 1.0, 1.0]]), np.array([1.0]), cap=17)
+        assert vs.truncated and vs.is_empty
+        vs, _ = enumerate_product(SQUARE, 2, np.array([[1.0, 1.0, 1.0, 1.0]]), np.array([1.0]))
+        assert not vs.truncated and len(vs.points) > 17
 
 
 class TestProductPolytope:
@@ -123,20 +101,21 @@ class TestProductPolytope:
         # block y acts only on coordinates (2y, 2y+1)
         assert np.all(p.normals[:4, 2:] == 0)
         assert np.all(p.normals[4:, :2] == 0)
-        vs = enumerate_vertices(p)
-        assert len(vs.points) == 16  # 4 square vertices per block
+        vs = polytope_vertices_bruteforce(p.normals, p.offsets)
+        assert len(vs) == 16  # 4 square vertices per block
 
     def test_point_set_uses_equality_pairs(self):
         pt = PolygonV(np.array([[1.5, -2.0]]))
         p = product_polytope(pt, 3)
-        vs = enumerate_vertices(p)
-        assert len(vs.points) == 1
-        assert np.allclose(vs.points[0], [1.5, -2.0] * 3)
+        vs = polytope_vertices_bruteforce(p.normals, p.offsets)
+        assert len(vs) == 1
+        assert np.allclose(vs[0], [1.5, -2.0] * 3)
 
     def test_segment_product(self):
         seg = convex_hull([(0.0, 0.0), (1.0, 1.0)])
-        vs = enumerate_vertices(product_polytope(seg, 2))
-        assert len(vs.points) == 4  # 2 endpoints per block
+        p = product_polytope(seg, 2)
+        vs = polytope_vertices_bruteforce(p.normals, p.offsets)
+        assert len(vs) == 4  # 2 endpoints per block
 
 
 class TestEnumerateProduct:
@@ -158,8 +137,8 @@ class TestEnumerateProduct:
         extra_n = np.array([[1.0, 0.0, 1.0, 0.0]])
         extra_b = np.array([1.0])
         vs, poly = enumerate_product(sq, 2, extra_n, extra_b)
-        direct = enumerate_vertices(poly)
-        assert match_point_sets(vs.points, direct.points, 1e-8)
+        assert np.array_equal(poly.normals[:8], product_polytope(sq, 2).normals)
+        assert np.array_equal(poly.normals[8:], extra_n)
         oracle = polytope_vertices_bruteforce(poly.normals, poly.offsets)
         assert match_point_sets(vs.points, oracle, 1e-7)
 
@@ -174,33 +153,21 @@ class TestEnumerateProduct:
         sq = convex_hull([(0, 0), (1, 0), (1, 1), (0, 1)])
         vs, _ = enumerate_product(sq, 4, np.zeros((0, 8)), np.zeros(0), cap=100)
         assert vs.truncated
-        assert len(vs.points) <= 100
+        assert vs.is_empty  # no uncut prefix of the 256 seed tuples
 
 
 class TestAffineImage:
-    def test_identity_on_2d(self):
-        vs = enumerate_vertices(box_polytope(2))
-        img = affine_image_2d(vs, np.eye(2), np.zeros(2))
-        assert np.array_equal(img, vs.points)
-
-    def test_zero_matrix_gives_constant(self):
-        vs = enumerate_vertices(box_polytope(4))
-        img = affine_image_2d(vs, np.zeros((2, 4)), np.array([3.0, -1.0]))
-        assert np.all(img == [3.0, -1.0])
-
     @pytest.mark.parametrize("seed", range(5))
     def test_image_hull_contains_interior_samples(self, seed):
         rng = np.random.default_rng(3000 + seed)
-        p = random_bounded_system(rng, 4, extra_rows=4)
-        vs = enumerate_vertices(p)
+        w, normals, offsets = random_cut_system(rng, 2, extra_rows=4, num_points=5)
+        vs, _ = enumerate_product(w, 2, normals, offsets, TOL)
         if len(vs.points) < 3:
             pytest.skip("degenerate draw")
         M = rng.normal(size=(2, 4))
         c = rng.normal(size=2)
-        hull = convex_hull(affine_image_2d(vs, M, c))
+        hull = convex_hull(vs.points @ M.T + c)
         # random convex combinations of polytope vertices map inside the hull
-        from ppesolve.geometry import contains_point
-
         for _ in range(50):
             lam = rng.dirichlet(np.ones(len(vs.points)))
             x = lam @ vs.points
@@ -249,6 +216,6 @@ class TestKernels:
             np.array([1.0, 1.0, 1.0, 0.0, 0.0]),
         )
         pts = np.array([[1.0, 0.5], [1.0, 1.0], [0.0, 0.0], [0.5, 0.5]])
-        vs = _finalize(pts, p, TOL, truncated=False)
+        vs = _finalize(pts, p, TOL)
         assert np.array_equal(vs.points, [[0.0, 0.0], [1.0, 1.0]])
-        assert vs.tags == (frozenset({3, 4}), frozenset({0, 1, 2}))
+        assert [np.flatnonzero(row).tolist() for row in vs.active] == [[3, 4], [0, 1, 2]]
