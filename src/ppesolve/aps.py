@@ -65,12 +65,9 @@ class SolverConfig:
     theta: float = 0.0
     max_iter: int = 200
     hausdorff_epsilon: float = 1e-6
-    eps_point: float = 1e-9
-    eps_side: float = 1e-9
 
     def __post_init__(self):
-        for name in ("delta", "epsilon", "theta", "hausdorff_epsilon",
-                     "eps_point", "eps_side"):
+        for name in ("delta", "epsilon", "theta", "hausdorff_epsilon"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
         if not 0.0 <= self.delta < 1.0:
@@ -328,7 +325,7 @@ def solve(game: StageGame, config: SolverConfig) -> Report:
     segment or point is detected rather than mistaken for convergence.
     """
     scale = max(1.0, game.payoff_magnitude)
-    tol = Tolerances(config.eps_point, config.eps_side).scaled(scale)
+    tol = DEFAULT_TOL.scaled(scale)
     w = individually_rational_set(game, tol).individually_rational
 
     trace = [

@@ -2,10 +2,10 @@
 
 Game files are JSON; any number may instead be a string like "2/3",
 parsed exactly before conversion to float.  Action and signal labels are
-validated for uniqueness, probability rows must be nonnegative and sum
-to one within 1e-12 (then renormalized), and the parser enforces the
-two-player small-game caps (<= 3 actions per player, <= 4 signals)
-unless explicitly overridden.
+validated for uniqueness, action labels may not contain a comma,
+probability rows must be nonnegative and sum to one within 1e-12 (then
+renormalized), and the parser enforces the two-player small-game caps
+(<= 3 actions per player, <= 4 signals) unless explicitly overridden.
 """
 
 from __future__ import annotations
@@ -119,6 +119,10 @@ def parse_game(text: str, allow_large: bool = False) -> StageGame:
         raise GameFormatError("'actions' must list two players' action labels")
     a1 = _unique_labels(actions[0], "player 1 action labels")
     a2 = _unique_labels(actions[1], "player 2 action labels")
+    for label in a1 + a2:
+        if "," in label:
+            # report.json keys a profile by its labels joined with ","
+            raise GameFormatError(f"action label {label!r} contains a comma")
     signals = _unique_labels(data["signals"], "signal labels")
     n1, n2, S = len(a1), len(a2), len(signals)
     if n1 == 0 or n2 == 0 or S == 0:

@@ -7,10 +7,13 @@ coordinates plus, per vertex, the bitmask of active rows and an explicit
 edge list.  The extra rows are inserted one at a time; each cut clips
 crossing edges and reconstructs the adjacency on the new facet with the
 combinatorial active-set test, except the last cut, after which no edge
-is read.  When the seed or a cut exceeds the vertex cap, the result is
-empty and marked truncated.  Everything is deterministic: rows are
-inserted in a fixed heuristic order and results are returned in
-lexicographic vertex order.
+is read.  A vertex's active rows are the masks this bookkeeping carries:
+the seed's come from W's vertices, each cut sets its row's bit on the
+vertices within the on-plane band, and no coordinate re-check follows.
+When the seed or a cut exceeds the vertex cap, the result is empty and
+marked truncated.  Everything is deterministic: rows are inserted in a
+fixed heuristic order and results are returned in lexicographic vertex
+order.
 """
 
 from __future__ import annotations
@@ -23,10 +26,6 @@ from . import _kernels
 from .geometry import PolygonV, Tolerances, DEFAULT_TOL, greedy_cluster, halfspace_rows
 
 DEFAULT_VERTEX_CAP = 200_000
-
-# beyond this many candidate vertices the rank test is skipped: the
-# active-row count alone filters them
-_RANK_CHECK_LIMIT = 2000
 
 
 @dataclass(frozen=True)
@@ -227,33 +226,6 @@ def _insertion_order(normals, offsets, center):
     return np.argsort(-tightness, kind="stable")
 
 
-def _finalize(points: np.ndarray, polytope: HPolytope, tol: Tolerances) -> VertexSet:
-    """Recompute active sets against the polytope's own rows, filter
-    non-vertices, and emit in lexicographic order."""
-    dim = polytope.dim
-    if len(points) == 0:
-        return _empty_vertex_set(dim)
-    n_rows, b_rows = polytope.normals, polytope.offsets
-    slack = points @ n_rows.T - b_rows
-    eps = tol.eps_side * np.maximum(1.0, np.abs(b_rows))
-    active = np.abs(slack) <= eps
-    enough = active.sum(axis=1) >= dim
-    points, active = points[enough], active[enough]
-    if 0 < len(points) <= _RANK_CHECK_LIMIT:
-        # each point's active rows, padded with zero rows to a common
-        # count; zero rows leave the singular values unchanged
-        width = int(active.sum(axis=1).max())
-        rows = np.argsort(~active, axis=1, kind="stable")[:, :width]
-        stack = n_rows[rows] * np.take_along_axis(active, rows, axis=1)[..., None]
-        ok = np.linalg.matrix_rank(stack, tol=1e-8) >= dim
-        points, active = points[ok], active[ok]
-    if len(points) == 0:
-        return _empty_vertex_set(dim)
-    order = np.lexsort(points.T[::-1])
-    points = points[order]
-    return VertexSet(points, active[order])
-
-
 # ---------------------------------------------------------------------------
 # public operations
 
@@ -302,8 +274,11 @@ def enumerate_product(
     rows first and the extra rows after them; the VertexSet's active
     columns index that stacking.  The product seed is built directly
     from W's vertex tuples, so only the extra rows go through
-    incremental insertion.  If the seed or a cut has more than `cap`
-    vertices, the VertexSet is empty and truncated.
+    incremental insertion.  The active rows are the double description's
+    own masks: the product rows' from the seed tuples, each extra row's
+    from its cut.  They are not recomputed from the coordinates.  If
+    the seed or a cut has more than `cap` vertices, the VertexSet is
+    empty and truncated.
     """
     vact, edges2 = _polygon_seed(w)
     v2 = w.vertices
@@ -363,5 +338,9 @@ def enumerate_product(
             return _empty_vertex_set(dim), stacked
         if state.num_points > cap:
             return _empty_vertex_set(dim, truncated=True), stacked
-    return _finalize(state.points, stacked, tol), stacked
+    order = np.lexsort(state.points.T[::-1])
+    # bit r of a mask, little-endian across its words, is stacked row r
+    bytes_ = state.masks[order].astype("<u8").view(np.uint8)
+    active = np.unpackbits(bytes_, axis=1, bitorder="little")[:, : stacked.num_rows]
+    return VertexSet(state.points[order], active.astype(bool)), stacked
 

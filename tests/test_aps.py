@@ -196,8 +196,6 @@ class TestSolverConfig:
             {"delta": 0.5, "hausdorff_epsilon": float("nan")},
             {"delta": 0.5, "hausdorff_epsilon": 0.0},
             {"delta": 0.5, "hausdorff_epsilon": -1e-6},
-            {"delta": 0.5, "eps_point": float("nan")},
-            {"delta": 0.5, "eps_side": float("inf")},
         ],
     )
     def test_rejects_bad_values(self, kwargs):

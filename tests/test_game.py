@@ -79,6 +79,13 @@ class TestParse:
         with pytest.raises(GameFormatError, match="duplicate"):
             parse_game(json.dumps(data))
 
+    def test_comma_in_action_label_rejected(self, pd_game_path):
+        # ("C","x,D") and ("C,x","D") would share the report.json key "C,x,D"
+        data = json.loads(pd_game_path.read_text())
+        data["actions"] = [["C", "C,x"], ["x,D", "D"]]
+        with pytest.raises(GameFormatError, match=r"'C,x'.*comma"):
+            parse_game(json.dumps(data))
+
     def test_rational_strings_everywhere(self):
         text = json.dumps(
             {

@@ -4,8 +4,6 @@ import pytest
 from ppesolve import _kernels
 from ppesolve.geometry import PolygonV, Tolerances, contains_point, convex_hull
 from ppesolve.vertex_enum import (
-    HPolytope,
-    _finalize,
     _sorted_unique_edges,
     enumerate_product,
     product_polytope,
@@ -17,15 +15,22 @@ TOL = Tolerances()
 SQUARE = convex_hull([(-1, -1), (1, -1), (1, 1), (-1, 1)])
 
 
-def random_cut_system(rng, k, extra_rows, num_points):
+def random_cut_system(rng, k, extra_rows, num_points, degeneracy=None):
     """W, the hull of a few random points, and extra rows through random
-    points of W^k."""
+    points of W^k.  degeneracy "vertex" puts the first row through a
+    vertex of W^k; "duplicate" repeats the first row at the end."""
     w = convex_hull(rng.uniform(-1.0, 1.0, size=(num_points, 2)))
     normals = rng.normal(size=(extra_rows, 2 * k))
     normals /= np.linalg.norm(normals, axis=1, keepdims=True)
     weights = rng.dirichlet(np.ones(w.num_vertices), size=(extra_rows, k))
     anchors = (weights @ w.vertices).reshape(extra_rows, 2 * k)
-    return w, normals, np.einsum("ij,ij->i", normals, anchors)
+    if degeneracy == "vertex":
+        anchors[0] = w.vertices[rng.integers(w.num_vertices, size=k)].ravel()
+    offsets = np.einsum("ij,ij->i", normals, anchors)
+    if degeneracy == "duplicate":
+        normals = np.vstack([normals, normals[:1]])
+        offsets = np.append(offsets, offsets[0])
+    return w, normals, offsets
 
 
 class TestEnumerateVertices:
@@ -83,6 +88,40 @@ class TestEnumerateVertices:
             active = np.abs(p.normals @ x - p.offsets) < 1e-9
             assert np.array_equal(row, active)
             assert row.sum() >= 4
+
+    @pytest.mark.parametrize("degeneracy", [None, "vertex", "duplicate"])
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_active_rows_match_recomputed_slack(self, degeneracy, k, seed):
+        # the double description's masks, against the slack of every
+        # stacked row at the returned coordinates; each point's active
+        # rows have full rank, so it is a vertex
+        rng = np.random.default_rng(8000 + 100 * k + seed)
+        w, normals, offsets = random_cut_system(rng, k, 3, 6 - k, degeneracy)
+        # orient every row to keep W^k's centroid, so the cut is nonempty
+        flip = np.where(normals @ np.tile(w.vertices.mean(axis=0), k) > offsets, -1.0, 1.0)
+        vs, p = enumerate_product(w, k, flip[:, None] * normals, flip * offsets, TOL)
+        assert match_point_sets(vs.points, polytope_vertices_bruteforce(p.normals, p.offsets), 1e-7)
+        slack = vs.points @ p.normals.T - p.offsets
+        expected = np.abs(slack) <= TOL.eps_side * np.maximum(1.0, np.abs(p.offsets))
+        assert vs.active.shape == (vs.num_points, p.num_rows)
+        assert np.array_equal(vs.active, expected)
+        for row in vs.active:
+            assert np.linalg.matrix_rank(p.normals[row], tol=1e-8) == p.dim
+        if degeneracy == "duplicate":
+            assert np.array_equal(vs.active[:, -1], vs.active[:, -4])
+
+    def test_duplicated_row_matches_bruteforce(self):
+        # the row x1 + x3 <= 0.5 given twice: the enumerator inserts a
+        # cut that removes nothing, and the oracle skips the singular
+        # subsets that hold both copies
+        unit = convex_hull([(0, 0), (1, 0), (1, 1), (0, 1)])
+        row = np.array([[1.0, 0.0, 1.0, 0.0]])
+        vs, p = enumerate_product(unit, 2, np.vstack([row, row]), np.array([0.5, 0.5]))
+        oracle = polytope_vertices_bruteforce(p.normals, p.offsets)
+        assert match_point_sets(vs.points, oracle, 1e-9)
+        assert np.array_equal(vs.active[:, -1], vs.active[:, -2])
+        assert vs.active[:, -1].any()
 
     def test_vertex_cap_marks_truncated(self):
         # 16 seed tuples, and the cut adds vertices past the cap of 17
@@ -207,15 +246,3 @@ class TestKernels:
         got = _sorted_unique_edges(edges)
         assert got.dtype == np.int64
         assert np.array_equal(got, np.unique(np.sort(edges, axis=1), axis=0))
-
-    def test_finalize_drops_rank_deficient_points(self):
-        # x <= 1 appears twice: (1, 0.5) has two active rows but rank 1
-        p = HPolytope(
-            2,
-            np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]),
-            np.array([1.0, 1.0, 1.0, 0.0, 0.0]),
-        )
-        pts = np.array([[1.0, 0.5], [1.0, 1.0], [0.0, 0.0], [0.5, 0.5]])
-        vs = _finalize(pts, p, TOL)
-        assert np.array_equal(vs.points, [[0.0, 0.0], [1.0, 1.0]])
-        assert [np.flatnonzero(row).tolist() for row in vs.active] == [[3, 4], [0, 1, 2]]
