@@ -41,6 +41,10 @@ from .vertex_enum import DEFAULT_VERTEX_CAP, enumerate_product, product_polytope
 # relative rounding bound per term of a dot product, with room to spare
 _ROUNDING = 8 * np.finfo(float).eps
 
+# once an iterate's area is below epsilon, the run has converged when
+# the Hausdorff distance between successive iterates is below this
+HAUSDORFF_EPSILON = 1e-6
+
 
 @dataclass(frozen=True)
 class ICSystem:
@@ -64,10 +68,9 @@ class SolverConfig:
     epsilon: float = 0.005
     theta: float = 0.0
     max_iter: int = 200
-    hausdorff_epsilon: float = 1e-6
 
     def __post_init__(self):
-        for name in ("delta", "epsilon", "theta", "hausdorff_epsilon"):
+        for name in ("delta", "epsilon", "theta"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
         if not 0.0 <= self.delta < 1.0:
@@ -78,8 +81,6 @@ class SolverConfig:
             raise ValueError("theta must be >= 0")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if self.hausdorff_epsilon <= 0:
-            raise ValueError("hausdorff_epsilon must be positive")
 
 
 @dataclass(frozen=True)
@@ -103,7 +104,6 @@ class IterationTrace:
 @dataclass(frozen=True)
 class Report:
     trace: tuple  # of IterationTrace
-    converged: bool
     stop_reason: str  # area_epsilon | hausdorff_epsilon | max_iter | empty_set | truncated
     final_set: PolygonV
     config: SolverConfig
@@ -113,6 +113,10 @@ class Report:
     @property
     def iterations(self) -> int:
         return len(self.trace) - 1
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason in ("area_epsilon", "hausdorff_epsilon")
 
 
 @dataclass(frozen=True)
@@ -217,7 +221,7 @@ def _cutting_rows(w: PolygonV, k: int, normals, offsets, tol: Tolerances):
     n = normals.reshape(len(offsets), k, 2)
     vals = n @ w.vertices.T  # (rows, k, |W|)
     size = (np.abs(n) @ np.abs(w.vertices).T).max(axis=2).sum(axis=1) + np.abs(offsets)
-    margin = tol.eps_side * np.maximum(1.0, np.abs(offsets)) + _ROUNDING * (k + 1) * size
+    margin = tol.eps * np.maximum(1.0, np.abs(offsets)) + _ROUNDING * (k + 1) * size
     if np.any(vals.min(axis=2).sum(axis=1) - offsets > margin):
         return None
     return np.flatnonzero(vals.max(axis=2).sum(axis=1) - offsets >= -margin)
@@ -334,7 +338,6 @@ def solve(game: StageGame, config: SolverConfig) -> Report:
     if w.is_empty:
         return Report(
             tuple(trace),
-            False,
             "empty_set",
             w,
             config,
@@ -342,7 +345,6 @@ def solve(game: StageGame, config: SolverConfig) -> Report:
             "the individually rational feasible set is already empty",
         )
 
-    converged = False
     stop_reason = "max_iter"
     message = ""
     for k in range(1, config.max_iter + 1):
@@ -386,18 +388,16 @@ def solve(game: StageGame, config: SolverConfig) -> Report:
                 abs(a_prev - a_new) < config.epsilon
                 and abs(a_prev - a_new) <= 0.1 * a_new
             ):
-                converged = True
                 stop_reason = "area_epsilon"
                 w = new
                 break
         else:
-            if hd < config.hausdorff_epsilon:
-                converged = True
+            if hd < HAUSDORFF_EPSILON:
                 stop_reason = "hausdorff_epsilon"
                 w = new
                 break
         w = new
-    return Report(tuple(trace), converged, stop_reason, w, config, tol, message)
+    return Report(tuple(trace), stop_reason, w, config, tol, message)
 
 
 def verify_enforceability(

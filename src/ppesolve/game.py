@@ -208,10 +208,11 @@ def minmax(game: StageGame) -> MinmaxPair:
     )
 
 
-def pure_nash(game: StageGame, tol: Tolerances = DEFAULT_TOL):
-    """All pure profiles where neither player can weakly gain by deviating."""
+def pure_nash(game: StageGame):
+    """All pure profiles where neither player can gain more than eps,
+    scaled to the game's payoff magnitude, by deviating."""
     u1, u2 = game.payoffs[:, :, 0], game.payoffs[:, :, 1]
-    eps = tol.eps_point * max(1.0, game.payoff_magnitude)
+    eps = DEFAULT_TOL.scaled(game.payoff_magnitude).eps
     out = []
     for i, j in game.profiles():
         if u1[i, j] >= u1[:, j].max() - eps and u2[i, j] >= u2[i, :].max() - eps:

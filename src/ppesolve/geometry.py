@@ -17,25 +17,23 @@ import numpy as np
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Absolute comparison thresholds, scaled once per problem instance.
+    """One absolute threshold, eps, scaled once per problem instance.
 
-    eps_point: distance below which two points coincide.
-    eps_side: signed-distance threshold for on-boundary tests.
+    Two points within eps coincide, a vertex within eps of its
+    neighbours' chord is dropped, and a point within eps (times the
+    row's offset, when that exceeds 1) of a halfspace's boundary lies
+    on it.
     """
 
-    eps_point: float = 1e-9
-    eps_side: float = 1e-9
+    eps: float = 1e-9
 
     def __post_init__(self):
-        for name in ("eps_point", "eps_side"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and strictly positive")
+        if not (math.isfinite(self.eps) and self.eps > 0):
+            raise ValueError("eps must be finite and strictly positive")
 
     def scaled(self, magnitude: float) -> "Tolerances":
-        """Scale both thresholds by a payoff-magnitude bound (>= 1)."""
-        s = max(1.0, float(magnitude))
-        return Tolerances(self.eps_point * s, self.eps_side * s)
+        """Scale the threshold by a payoff-magnitude bound (>= 1)."""
+        return Tolerances(self.eps * max(1.0, float(magnitude)))
 
 
 DEFAULT_TOL = Tolerances()
@@ -214,7 +212,7 @@ def convex_hull(points, tol: Tolerances = DEFAULT_TOL) -> PolygonV:
     """Canonical CCW hull via monotone chain; collinear points removed.
 
     The chain pops on the exact turn test, so every extreme point of the
-    merged input survives it; only then are vertices within eps_side of
+    merged input survives it; only then are vertices within eps of
     their neighbours' chord removed.  A tolerance inside the chain would
     also pop a vertex where the chain doubles back along a near-vertical
     edge, losing a real extreme point.
@@ -222,7 +220,7 @@ def convex_hull(points, tol: Tolerances = DEFAULT_TOL) -> PolygonV:
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     if len(pts) == 0:
         return PolygonV.empty()
-    pts = pts[greedy_cluster(pts, tol.eps_point)[1]]  # merged, sorted
+    pts = pts[greedy_cluster(pts, tol.eps)[1]]  # merged, sorted
     if len(pts) == 1:
         return PolygonV(pts)
     if len(pts) == 2:
@@ -250,7 +248,7 @@ def convex_hull(points, tol: Tolerances = DEFAULT_TOL) -> PolygonV:
     seq = pts.tolist()
     lower = chain(seq)
     upper = chain(seq[::-1])
-    verts = _drop_flat_vertices(lower[:-1] + upper[:-1], tol.eps_side)
+    verts = _drop_flat_vertices(lower[:-1] + upper[:-1], tol.eps)
     if len(verts) == 2:
         # all points (near-)collinear: the two survivors are the ends
         return PolygonV(np.array(sorted(verts)))
@@ -299,24 +297,21 @@ def halfspace_rows(p: PolygonV):
 def intersect_halfplane(
     p: PolygonV, normal, offset: float, tol: Tolerances = DEFAULT_TOL
 ) -> PolygonV:
-    """Clip a canonical polygon by n.x <= b (Sutherland-Hodgman walk)."""
+    """Clip a canonical polygon by n.x <= b (Sutherland-Hodgman walk).
+
+    A segment is walked as a 2-vertex cycle: its cut point is found
+    once from each endpoint, and the hull merges the two copies.
+    """
     n = np.asarray(normal, dtype=float)
     b = float(offset)
     if p.is_empty:
         return p
     s = p.vertices @ n - b
-    eps = tol.eps_side * max(1.0, abs(b))
+    eps = tol.eps * max(1.0, abs(b))
     if np.all(s <= eps):
         return p
     if np.all(s > eps):
         return PolygonV.empty()
-    if p.is_segment:
-        (a, c), (sa, sc) = p.vertices, s
-        if sa > eps:
-            a, c, sa, sc = c, a, sc, sa
-        t = sa / (sa - sc)
-        cut = a + t * (c - a)
-        return convex_hull([a, cut], tol)
 
     v = p.vertices
     m = len(v)

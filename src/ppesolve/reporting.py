@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .aps import Report
+from .aps import HAUSDORFF_EPSILON, Report
 from .geometry import area
 
 
@@ -27,12 +27,9 @@ def report_to_dict(report: Report) -> dict:
             "epsilon": cfg.epsilon,
             "theta": cfg.theta,
             "max_iter": cfg.max_iter,
-            "hausdorff_epsilon": cfg.hausdorff_epsilon,
+            "hausdorff_epsilon": HAUSDORFF_EPSILON,
         },
-        "tolerances": {
-            "eps_point": report.tolerances.eps_point,
-            "eps_side": report.tolerances.eps_side,
-        },
+        "tolerances": {"eps": report.tolerances.eps},
         "converged": report.converged,
         "stop_reason": report.stop_reason,
         "message": report.message,

@@ -4,12 +4,15 @@ W is a 2-D polygon, so W^k (one copy per signal block) has the tuples of
 W's vertices as its vertices and is seeded from them directly.  The
 enumerator keeps a double description of the working polytope: vertex
 coordinates plus, per vertex, the bitmask of active rows and an explicit
-edge list.  The extra rows are inserted one at a time; each cut clips
-crossing edges and reconstructs the adjacency on the new facet with the
-combinatorial active-set test, except the last cut, after which no edge
-is read.  A vertex's active rows are the masks this bookkeeping carries:
-the seed's come from W's vertices, each cut sets its row's bit on the
-vertices within the on-plane band, and no coordinate re-check follows.
+edge list.  The extra rows are inserted one at a time.  Each cut drops
+the vertices beyond its on-plane band and adds one vertex per crossing
+edge, whose mask is the AND of the edge's endpoint masks plus the cut's
+row; cut points are never merged by coordinates.  The adjacency on the
+new facet is then rebuilt with the combinatorial active-set test, except
+after the last cut, when no edge is read.  A vertex's active rows are
+the masks this bookkeeping carries: the seed's come from W's vertices,
+each cut sets its row's bit on the vertices within its on-plane band
+and on its new vertices, and no coordinate re-check follows.
 When the seed or a cut exceeds the vertex cap, the result is empty and
 marked truncated.  Everything is deterministic: rows are inserted in a
 fixed heuristic order and results are returned in lexicographic vertex
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .geometry import PolygonV, Tolerances, DEFAULT_TOL, greedy_cluster, halfspace_rows
+from .geometry import PolygonV, Tolerances, DEFAULT_TOL, halfspace_rows
 
 DEFAULT_VERTEX_CAP = 200_000
 
@@ -127,7 +130,7 @@ def _insert_halfspace(
     state, or None when the cut empties the polytope.  Without
     need_edges (no further cut follows) the new state has no edge list."""
     s = state.points @ normal - offset
-    eps = tol.eps_side * max(1.0, abs(offset))
+    eps = tol.eps * max(1.0, abs(offset))
     status = np.where(s < -eps, 0, np.where(s <= eps, 1, 2)).astype(np.int8)
 
     if not np.any(status <= 1):
@@ -149,50 +152,17 @@ def _insert_halfspace(
     e0, e1 = state.edges[:, 0], state.edges[:, 1]
     st0, st1 = status[e0], status[e1]
     cross = ((st0 == 0) & (st1 == 2)) | ((st0 == 2) & (st1 == 0))
+    # one new vertex per crossing edge; its active rows are those the
+    # edge's endpoints share, plus the cut's own row
     ce = state.edges[cross]
-    if len(ce):
-        swap = status[ce[:, 0]] == 2
-        ce[swap] = ce[swap][:, ::-1]  # first endpoint strictly inside
-        u, v = ce[:, 0], ce[:, 1]
-        t = (s[u] / (s[u] - s[v]))[:, None]
-        cut_pts = state.points[u] + t * (state.points[v] - state.points[u])
-        cut_masks = (state.masks[u] & state.masks[v]) | bit
-
-        # merge coincident cut points into clusters (centroid + mask union)
-        labels, founders = greedy_cluster(cut_pts, tol.eps_point)
-        n_clusters = len(founders)
-        new_pts = np.zeros((n_clusters, dim))
-        new_masks = np.zeros((n_clusters, words), dtype=np.uint64)
-        np.add.at(new_pts, labels, cut_pts)  # sums in cut order
-        np.bitwise_or.at(new_masks, labels, cut_masks)
-        new_pts /= np.bincount(labels, minlength=n_clusters)[:, None]
-
-        # merge clusters that coincide with a kept on-plane vertex
-        on_ids = np.where(on_kept)[0]
-        cluster_target = np.arange(n_clusters) + len(pts_kept)
-        drop = np.zeros(n_clusters, dtype=bool)
-        if len(on_ids):
-            d = np.linalg.norm(
-                new_pts[:, None, :] - pts_kept[on_ids][None, :, :], axis=2
-            )
-            hit = np.argmin(d, axis=1)
-            drop = d[np.arange(n_clusters), hit] <= tol.eps_point
-            tgt = on_ids[hit[drop]]
-            np.bitwise_or.at(masks_kept, tgt, new_masks[drop])
-            cluster_target[drop] = tgt
-        if np.any(drop):
-            remap = np.full(n_clusters, -1, dtype=np.int64)
-            remap[~drop] = np.arange(int((~drop).sum())) + len(pts_kept)
-            cluster_target = np.where(drop, cluster_target, remap)
-            new_pts = new_pts[~drop]
-            new_masks = new_masks[~drop]
-
-        cut_target = cluster_target[labels]
-        clipped_edges = np.column_stack([new_index[u], cut_target])
-    else:
-        new_pts = np.zeros((0, dim))
-        new_masks = np.zeros((0, words), dtype=np.uint64)
-        clipped_edges = np.zeros((0, 2), dtype=np.int64)
+    swap = status[ce[:, 0]] == 2
+    ce[swap] = ce[swap][:, ::-1]  # first endpoint strictly inside
+    u, v = ce[:, 0], ce[:, 1]
+    t = (s[u] / (s[u] - s[v]))[:, None]
+    new_pts = state.points[u] + t * (state.points[v] - state.points[u])
+    new_masks = (state.masks[u] & state.masks[v]) | bit
+    cut_ids = np.arange(len(ce)) + len(pts_kept)
+    clipped_edges = np.column_stack([new_index[u], cut_ids])
 
     all_pts = np.vstack([pts_kept, new_pts])
     all_masks = np.vstack([masks_kept, new_masks])
@@ -203,9 +173,7 @@ def _insert_halfspace(
     kept_edges = np.column_stack([new_index[kept_edges[:, 0]], new_index[kept_edges[:, 1]]])
 
     # adjacency on the fresh facet: kept on-plane vertices + new vertices
-    facet_ids = np.concatenate(
-        [np.where(on_kept)[0], np.arange(len(new_pts)) + len(pts_kept)]
-    ).astype(np.int64)
+    facet_ids = np.concatenate([np.where(on_kept)[0], cut_ids])
     if len(facet_ids) >= 2:
         pairs = _kernels.adjacent_pairs(all_masks[facet_ids], dim - 1)
         facet_edges = facet_ids[pairs]

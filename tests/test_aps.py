@@ -193,9 +193,6 @@ class TestSolverConfig:
             {"delta": 0.5, "epsilon": float("inf")},
             {"delta": 0.5, "theta": float("nan")},
             {"delta": 0.5, "theta": float("inf")},
-            {"delta": 0.5, "hausdorff_epsilon": float("nan")},
-            {"delta": 0.5, "hausdorff_epsilon": 0.0},
-            {"delta": 0.5, "hausdorff_epsilon": -1e-6},
         ],
     )
     def test_rejects_bad_values(self, kwargs):

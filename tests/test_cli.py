@@ -43,6 +43,9 @@ class TestSolveCommand:
         doc = json.loads((out / "report.json").read_text())
         assert doc["config"]["delta"] == 0.9
         assert doc["config"]["theta"] == 0.02
+        assert doc["config"]["hausdorff_epsilon"] == 1e-6
+        # one tolerance, 1e-9 scaled by the PD's largest payoff, 3
+        assert doc["tolerances"] == pytest.approx({"eps": 3e-9})
         assert doc["stop_reason"] == "area_epsilon"
         assert doc["converged"] is True
         assert doc["iterations"] == len(doc["trace"]) - 1

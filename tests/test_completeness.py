@@ -169,7 +169,7 @@ class TestFold:
                 assert p.is_empty == ref.is_empty
                 if not ref.is_empty:
                     compared += 1
-                    assert hausdorff(p, ref) <= tol.eps_point
+                    assert hausdorff(p, ref) <= tol.eps
         assert compared > 0
 
     @staticmethod
@@ -234,7 +234,7 @@ def assert_matches_unscreened(game, delta, ws, tol):
             ref = convex_hull(vs.points @ M[:, cols].T + c, tol)
             assert p.is_empty == ref.is_empty, f"P{a}: screen and enumeration disagree"
             if not ref.is_empty:
-                assert hausdorff(p, ref) <= 2 * tol.eps_point, f"P{a} moved"
+                assert hausdorff(p, ref) <= 2 * tol.eps, f"P{a} moved"
 
 
 def solve_iterates(game, delta, theta):

@@ -166,6 +166,17 @@ class TestPureNash:
         g = make_game([[[1, -1], [-1, 1]], [[-1, 1], [1, -1]]])
         assert pure_nash(g) == []
 
+    def test_large_payoffs_scale_the_tolerance_once(self):
+        # a PD with payoffs near 1e4 where every deviation gains 0.05:
+        # eps scaled once is 1e-5, far below the gain, so only (D, D)
+        # is an equilibrium; scaled twice it would be 0.1, above every
+        # gain, and admit all four profiles
+        g = make_game([
+            [[1e4, 1e4], [1e4 - 1, 1e4 + 0.05]],
+            [[1e4 + 0.05, 1e4 - 1], [1e4 - 0.95, 1e4 - 0.95]],
+        ])
+        assert pure_nash(g) == [(1, 1)]
+
 
 class TestPayoffSets:
     def test_pd_feasible(self, pd_game):

@@ -35,14 +35,14 @@ def random_hull(n_points=12, scale=3.0, rng=RNG):
 
 
 class TestTolerances:
-    @pytest.mark.parametrize("field", ["eps_point", "eps_side"])
+    @pytest.mark.parametrize("field", ["eps"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 0.0, -1e-9])
     def test_rejects_non_finite_or_non_positive(self, field, value):
         with pytest.raises(ValueError, match=field):
             Tolerances(**{field: value})
 
     def test_scaling_to_infinity_is_rejected(self):
-        assert Tolerances().scaled(10) == Tolerances(1e-8, 1e-8)
+        assert Tolerances().scaled(10) == Tolerances(1e-8)
         with pytest.raises(ValueError):
             Tolerances().scaled(float("inf"))
 
@@ -226,6 +226,59 @@ class TestClipping:
         b = convex_hull([(1, 1), (3, 1), (3, 3), (1, 3)])
         c = intersect_polygons(a, b)
         assert match_point_sets(c.vertices, [(1, 1), (2, 1), (2, 2), (1, 2)], 1e-9)
+
+
+SEGMENT_CUTS = [
+    "cut_keeps_first",
+    "cut_keeps_last",
+    "through_first_keeps_it",
+    "through_last_keeps_it",
+    "through_first_keeps_all",
+    "inside",
+    "outside",
+    "point_inside",
+    "point_on_line",
+    "point_outside",
+]
+
+
+class TestSegmentClipping:
+    """A segment is clipped by the polygon walk, as a 2-vertex cycle."""
+
+    @pytest.mark.parametrize("case", SEGMENT_CUTS)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_parametric_cut(self, case, seed):
+        rng = np.random.default_rng(4000 + seed)
+        size = 10.0 ** rng.uniform(-1, 4)
+        seg = convex_hull(rng.uniform(-size, size, size=(2, 2)))
+        v0, v1 = seg.vertices
+        d = v1 - v0
+        # a line direction at most 60 degrees from the segment's, so
+        # n.d >= |d| / 2; "first" and "last" are the canonical order
+        turn = rng.uniform(-np.pi / 3, np.pi / 3)
+        n = np.array([[np.cos(turn), -np.sin(turn)], [np.sin(turn), np.cos(turn)]]) @ d
+        n /= np.linalg.norm(n)
+        t = rng.uniform(0.2, 0.8)
+        cut = v0 + t * d
+        # (point the line passes through, sign of n, parametric result)
+        line, sign, expected = {
+            "cut_keeps_first": (cut, 1, [v0, cut]),
+            "cut_keeps_last": (cut, -1, [cut, v1]),
+            "through_first_keeps_it": (v0, 1, [v0]),
+            "through_last_keeps_it": (v1, -1, [v1]),
+            "through_first_keeps_all": (v0, -1, [v0, v1]),
+            "inside": (v1 + 0.5 * d, 1, [v0, v1]),
+            "outside": (v0 - 0.5 * d, 1, []),
+            "point_inside": (v0 + 0.1 * size * n, 1, [v0]),
+            "point_on_line": (v0, 1, [v0]),
+            "point_outside": (v0 - 0.1 * size * n, 1, []),
+        }[case]
+        poly = PolygonV(v0[None]) if case.startswith("point") else seg
+        scale = max(1.0, float(np.abs(seg.vertices).max()))
+        tol = Tolerances().scaled(scale)
+        got = intersect_halfplane(poly, sign * n, sign * n @ line, tol)
+        assert match_point_sets(got.vertices, np.reshape(expected, (-1, 2)), 1e-12 * scale)
+        assert got.num_vertices < 2 or tuple(got.vertices[0]) < tuple(got.vertices[1])
 
 
 class TestArea:

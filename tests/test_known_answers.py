@@ -81,7 +81,7 @@ class TestPlayerSwapSymmetry:
     def test_exact_pd_iterates(self, pd_game):
         rep = solve(pd_game, SolverConfig(delta=0.9, max_iter=8))
         for t in rep.trace:
-            assert mirrors_itself(t.vertices, rep.tolerances.eps_point), t.iteration
+            assert mirrors_itself(t.vertices, rep.tolerances.eps), t.iteration
 
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("seed", range(4))
@@ -98,7 +98,7 @@ class TestPlayerSwapSymmetry:
         )
         rep = solve(game, SolverConfig(delta=0.8, max_iter=6))
         for t in rep.trace:
-            assert mirrors_itself(t.vertices, rep.tolerances.eps_point), t.iteration
+            assert mirrors_itself(t.vertices, rep.tolerances.eps), t.iteration
 
     @pytest.mark.xfail(
         strict=True,
@@ -108,4 +108,4 @@ class TestPlayerSwapSymmetry:
     def test_criterion_03_iterates(self, pd_game):
         rep = solve(pd_game, SolverConfig(delta=0.9, theta=0.02))
         for t in rep.trace:
-            assert mirrors_itself(t.vertices, rep.tolerances.eps_point), t.iteration
+            assert mirrors_itself(t.vertices, rep.tolerances.eps), t.iteration

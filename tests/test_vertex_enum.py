@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from ppesolve import _kernels
-from ppesolve.geometry import PolygonV, Tolerances, contains_point, convex_hull
+from ppesolve.geometry import (
+    PolygonV,
+    Tolerances,
+    contains_point,
+    convex_hull,
+    halfspace_rows,
+    hausdorff,
+)
 from ppesolve.vertex_enum import (
     _sorted_unique_edges,
     enumerate_product,
@@ -31,6 +38,59 @@ def random_cut_system(rng, k, extra_rows, num_points, degeneracy=None):
         normals = np.vstack([normals, normals[:1]])
         offsets = np.append(offsets, offsets[0])
     return w, normals, offsets
+
+
+def spike_polygon(rng):
+    """A thin spike whose tip is cut 1e-8 wide, rotated and shifted at
+    random; returns W and the spike's unit axis."""
+    half_tip = 5e-9
+    pts = np.array([[-0.5, -0.05], [-0.5, 0.05], [0.5, -half_tip], [0.5, half_tip]])
+    a = rng.uniform(0.0, 2 * np.pi)
+    rot = np.array([[np.cos(a), -np.sin(a)], [np.sin(a), np.cos(a)]])
+    w = convex_hull(pts @ rot.T + rng.uniform(-0.3, 0.3, size=2))
+    assert w.num_vertices == 4
+    return w, rot[:, 0]
+
+
+def near_degenerate_system(rng, k, case):
+    """Spike W, one near-degenerate row and two generic rows over W^k.
+
+    "spike" cuts across the spike 2e-7 short of its tip; "miss" leaves a
+    W^k vertex outside by 2-5 eps, with a normal in that vertex's normal
+    cone; "through" passes through a W^k vertex at one tip corner, whose
+    neighbour at the other corner, 1e-8 away, lies outside.  The generic
+    rows keep the near-degenerate spot inside.
+    """
+    w, axis = spike_polygon(rng)
+    m, dim = w.num_vertices, 2 * k
+    tips = np.argsort(w.vertices @ axis)[-2:]
+    digits = rng.integers(m, size=k)
+    if case == "spike":
+        n = np.concatenate([axis, 0.1 * rng.normal(size=dim - 2)])
+        spot = np.concatenate([w.vertices[tips].mean(axis=0) - 2e-7 * axis,
+                               w.vertices[digits[1:]].ravel()])
+    elif case == "miss":
+        edge_normals, _ = halfspace_rows(w)
+        weights = rng.uniform(0.2, 1.0, size=(k, 2))
+        n = np.concatenate([weights[y] @ edge_normals[[(d - 1) % m, d]]
+                            for y, d in enumerate(digits)])
+        spot = w.vertices[digits].ravel()
+    else:
+        digits[0] = tips[0]
+        side = w.vertices[tips[1]] - w.vertices[tips[0]]
+        n = np.concatenate([side / np.linalg.norm(side), 0.5 * rng.normal(size=dim - 2)])
+        spot = w.vertices[digits].ravel()
+    n /= np.linalg.norm(n)
+    b = n @ spot
+    if case == "miss":
+        b -= rng.uniform(2.0, 5.0) * TOL.eps * max(1.0, abs(b))
+    normals = rng.normal(size=(2, dim))
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    anchors = 0.5 * w.vertices[rng.integers(m, size=(2, k))].reshape(2, dim)
+    anchors += 0.5 * np.tile(w.vertices.mean(axis=0), k)
+    offsets = np.einsum("ij,ij->i", normals, anchors)
+    flip = np.where(normals @ spot > offsets, -1.0, 1.0)
+    return w, np.vstack([n, flip[:, None] * normals]), np.append(b, flip * offsets)
 
 
 class TestEnumerateVertices:
@@ -103,7 +163,7 @@ class TestEnumerateVertices:
         vs, p = enumerate_product(w, k, flip[:, None] * normals, flip * offsets, TOL)
         assert match_point_sets(vs.points, polytope_vertices_bruteforce(p.normals, p.offsets), 1e-7)
         slack = vs.points @ p.normals.T - p.offsets
-        expected = np.abs(slack) <= TOL.eps_side * np.maximum(1.0, np.abs(p.offsets))
+        expected = np.abs(slack) <= TOL.eps * np.maximum(1.0, np.abs(p.offsets))
         assert vs.active.shape == (vs.num_points, p.num_rows)
         assert np.array_equal(vs.active, expected)
         for row in vs.active:
@@ -122,6 +182,35 @@ class TestEnumerateVertices:
         assert match_point_sets(vs.points, oracle, 1e-9)
         assert np.array_equal(vs.active[:, -1], vs.active[:, -2])
         assert vs.active[:, -1].any()
+
+    @pytest.mark.parametrize("case", ["spike", "miss", "through"])
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_near_degenerate_cuts(self, case, k, seed):
+        # every crossing edge adds its own cut point, so near-coincident
+        # points stay apart; none may break a row, and the set must
+        # still be the polytope's vertices, up to that closeness
+        rng = np.random.default_rng(9000 + 100 * k + seed)
+        w, normals, offsets = near_degenerate_system(rng, k, case)
+        vs, p = enumerate_product(w, k, normals, offsets, TOL)
+        gaps = np.linalg.norm(vs.points[:, None] - vs.points[None], axis=2)
+        np.fill_diagonal(gaps, np.inf)
+        assert gaps.min() <= 1e-7, "the case has no near-coincident points"
+        band = TOL.eps * np.maximum(1.0, np.abs(p.offsets))
+        assert np.all(vs.points @ p.normals.T - p.offsets <= band)
+        # the oracle de-duplicates at 1e-7, so counts are not compared
+        oracle = polytope_vertices_bruteforce(p.normals, p.offsets)
+        dists = np.linalg.norm(vs.points[:, None] - oracle[None], axis=2)
+        assert dists.min(axis=1).max() <= 1e-7
+        assert dists.min(axis=0).max() <= 1e-7
+        # images under a map of norm 1: the oracle within the same band
+        # differs from the points only by its merging at eps
+        exact = polytope_vertices_bruteforce(p.normals, p.offsets, TOL.eps)
+        M = rng.normal(size=(2, 2 * k))
+        M /= np.linalg.norm(M, 2)
+        c = rng.normal(size=2)
+        images = convex_hull(vs.points @ M.T + c)
+        assert hausdorff(images, convex_hull(exact @ M.T + c)) <= 2 * TOL.eps
 
     def test_vertex_cap_marks_truncated(self):
         # 16 seed tuples, and the cut adds vertices past the cap of 17
