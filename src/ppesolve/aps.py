@@ -19,6 +19,7 @@ payoff set.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -79,8 +80,8 @@ class SolverConfig:
             raise ValueError("epsilon must be positive")
         if self.theta < 0:
             raise ValueError("theta must be >= 0")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
+        if not isinstance(self.max_iter, numbers.Integral) or self.max_iter < 1:
+            raise ValueError("max_iter must be an integer >= 1")
 
 
 @dataclass(frozen=True)

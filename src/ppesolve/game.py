@@ -102,7 +102,7 @@ def _unique_labels(labels, what: str):
     return tuple(labels)
 
 
-def parse_game(text: str, allow_large: bool = False) -> StageGame:
+def parse_game(text: str) -> StageGame:
     """Parse and validate a UTF-8 game file."""
     try:
         data = json.loads(text)
@@ -127,16 +127,10 @@ def parse_game(text: str, allow_large: bool = False) -> StageGame:
     n1, n2, S = len(a1), len(a2), len(signals)
     if n1 == 0 or n2 == 0 or S == 0:
         raise GameFormatError("action and signal lists must be nonempty")
-    if not allow_large:
-        if n1 > MAX_ACTIONS or n2 > MAX_ACTIONS:
-            raise GameFormatError(
-                f"more than {MAX_ACTIONS} actions per player; pass "
-                "allow_large=True to override"
-            )
-        if S > MAX_SIGNALS:
-            raise GameFormatError(
-                f"more than {MAX_SIGNALS} signals; pass allow_large=True to override"
-            )
+    if n1 > MAX_ACTIONS or n2 > MAX_ACTIONS:
+        raise GameFormatError(f"more than {MAX_ACTIONS} actions per player")
+    if S > MAX_SIGNALS:
+        raise GameFormatError(f"more than {MAX_SIGNALS} signals")
 
     payoffs = np.zeros((n1, n2, 2))
     raw_u = data["payoffs"]

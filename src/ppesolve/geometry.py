@@ -1,10 +1,12 @@
 """Tolerance-aware 2-D convex polygon algebra.
 
 All polygons are kept in a canonical V-form: counter-clockwise vertex
-order starting at the lexicographically smallest vertex, with duplicate
-and collinear vertices removed.  An empty vertex list encodes the empty
-set, one vertex a point, two vertices a segment.  Halfspace rows are
-derived from that form on demand (`halfspace_rows`).
+order starting at the lexicographically smallest vertex, with
+near-coincident and collinear vertices removed.  Polygons are built by
+`convex_hull`, which applies the tolerance to its output vertex cycle
+only.  An empty vertex list encodes the empty set, one vertex a
+point, two vertices a segment.  Halfspace rows are derived from that
+form on demand (`halfspace_rows`).
 """
 
 from __future__ import annotations
@@ -19,10 +21,10 @@ import numpy as np
 class Tolerances:
     """One absolute threshold, eps, scaled once per problem instance.
 
-    Two points within eps coincide, a vertex within eps of its
-    neighbours' chord is dropped, and a point within eps (times the
-    row's offset, when that exceeds 1) of a halfspace's boundary lies
-    on it.
+    On a hull's vertex cycle, a vertex within eps of its neighbour is
+    merged into it and a vertex within eps of its neighbours' chord is
+    dropped; a point within eps (times the row's offset, when that
+    exceeds 1) of a halfspace's boundary lies on it.
     """
 
     eps: float = 1e-9
@@ -75,87 +77,6 @@ class PolygonV:
         return PolygonV(np.zeros((0, 2)))
 
 
-def _close_pairs(points: np.ndarray, eps: float):
-    """All index pairs (i, j), i != j, with |points[i] - points[j]| <= eps.
-
-    Sort-and-sweep: |u.(p - q)| <= |p - q| for a unit vector u, so the
-    projections of a close pair on one fixed generic direction u differ
-    by at most eps.  Each point's window reaches 2 eps ahead along u,
-    plus a bound on the rounding of the projections; the exact distance
-    test then filters it.
-    """
-    n, d = points.shape
-    u = np.cos(np.arange(1.0, d + 1))
-    u /= math.sqrt(u @ u)
-    proj = points @ u
-    by_proj = np.argsort(proj)
-    proj = proj[by_proj]
-    # each projection rounds by at most (d + 1) ulps of |u|_1 max|p|,
-    # and |u|_1 <= sqrt(d)
-    rounding = 2 * (d + 1) * math.sqrt(d) * np.finfo(float).eps
-    reach = 2 * eps + rounding * float(np.abs(points).max(initial=0.0))
-    count = np.searchsorted(proj, proj + reach, side="right") - np.arange(n) - 1
-    if not count.any():
-        return by_proj[:0], by_proj[:0]
-    a = np.repeat(np.arange(n), count)
-    b = a + 1 + np.arange(len(a)) - np.repeat(np.cumsum(count) - count, count)
-    i, j = by_proj[a], by_proj[b]
-    near = np.linalg.norm(points[i] - points[j], axis=1) <= eps
-    return i[near], j[near]
-
-
-def greedy_cluster(points: np.ndarray, eps: float):
-    """Greedy lexicographic clustering of points in any dimension.
-
-    Points are visited in lexicographic order.  Each joins the most
-    recently founded cluster whose founding point lies within eps of it,
-    or else founds a new cluster.  Returns (labels, founders): the
-    cluster of every point, and the index of each cluster's founding
-    point, clusters numbered in order of creation.  Close pairs come
-    from a sort-and-sweep along one direction (`_close_pairs`).
-    """
-    n = len(points)
-    order = np.lexsort(points.T[::-1])
-    rank = np.empty(n, dtype=np.int64)
-    rank[order] = np.arange(n)
-    i, j = _close_pairs(points, eps)
-    if len(i) == 0:
-        return rank, order  # every point founds its own cluster
-    # head: the lexicographically first of a point and its close partners.
-    # A head's group that no close pair leaves and in which every pair is
-    # close is clustered by the greedy scan into one cluster founded by
-    # the head; only the other groups need the scan itself.
-    head = rank.copy()
-    np.minimum.at(head, i, rank[j])
-    np.minimum.at(head, j, rank[i])
-    head = order[head]
-    size = np.bincount(head, minlength=n)
-    inner = head[i] == head[j]
-    tangled = np.bincount(head[i[inner]], minlength=n) != size * (size - 1) // 2
-    tangled[head[i[~inner]]] = True
-    tangled[head[j[~inner]]] = True
-    joins = head  # founding point of each point's cluster
-    slow = np.flatnonzero(tangled[head])
-    if len(slow):
-        src, dst = np.concatenate([i, j]), np.concatenate([j, i])
-        by_src = np.argsort(src, kind="stable")
-        src, dst = src[by_src], dst[by_src]
-        starts = np.searchsorted(src, np.arange(n + 1))
-        founder = np.zeros(n, dtype=bool)  # set as the scan reaches founders
-        for idx in slow[np.argsort(rank[slow])]:
-            nbrs = dst[starts[idx] : starts[idx + 1]]
-            nbrs = nbrs[founder[nbrs]]
-            if len(nbrs):
-                joins[idx] = nbrs[np.argmax(rank[nbrs])]
-            else:
-                joins[idx] = idx
-                founder[idx] = True
-    founders = order[joins[order] == order]
-    label_of = np.full(n, -1, dtype=np.int64)
-    label_of[founders] = np.arange(len(founders))
-    return label_of[joins], founders
-
-
 # relative error bound of the floating-point turn test (Shewchuk's
 # ccwerrboundA): beyond it the computed sign is the true one
 _TURN_ERR = 3.3306690738754716e-16
@@ -186,45 +107,56 @@ def _within_chord(o, a, p, eps: float) -> bool:
 
 
 def _drop_flat_vertices(cycle: list, eps: float) -> list:
-    """Remove the vertices of a convex cycle lying within eps of the
-    chord between their neighbours, in one stack pass plus the wrap."""
+    """Reduce a convex cycle of [x, y] lists in one stack pass plus the wrap.
+
+    A vertex within eps of the next one kept is merged into it, the
+    lexicographically smaller of the two surviving; a vertex within eps
+    of the chord between its neighbours is removed.
+    """
     out = []
     for p in cycle:
-        while len(out) >= 2 and _within_chord(out[-2], out[-1], p, eps):
-            out.pop()
+        while out:
+            if math.dist(out[-1], p) <= eps:
+                p = min(out.pop(), p)
+            elif len(out) >= 2 and _within_chord(out[-2], out[-1], p, eps):
+                out.pop()
+            else:
+                break
         out.append(p)
     # the pass never tested the last vertex against the first, nor the
     # first against the last: settle both ends of the cycle
     start = 0
-    changed = True
-    while changed and len(out) - start >= 3:
-        changed = False
-        if _within_chord(out[-2], out[-1], out[start], eps):
+    while len(out) - start >= 2:
+        if math.dist(out[-1], out[start]) <= eps:
+            out[start] = min(out.pop(), out[start])
+        elif _within_chord(out[-2], out[-1], out[start], eps):
             out.pop()
-            changed = True
         elif _within_chord(out[-1], out[start], out[start + 1], eps):
             start += 1
-            changed = True
+        else:
+            break
     return out[start:]
 
 
 def convex_hull(points, tol: Tolerances = DEFAULT_TOL) -> PolygonV:
-    """Canonical CCW hull via monotone chain; collinear points removed.
+    """Canonical CCW hull via monotone chain; near-coincident and
+    collinear vertices removed.
 
     The chain pops on the exact turn test, so every extreme point of the
-    merged input survives it; only then are vertices within eps of
-    their neighbours' chord removed.  A tolerance inside the chain would
-    also pop a vertex where the chain doubles back along a near-vertical
-    edge, losing a real extreme point.
+    input survives it; only then is the eps rule applied, to the output
+    cycle alone (`_drop_flat_vertices`).  A tolerance inside the chain
+    would also pop a vertex where the chain doubles back along a
+    near-vertical edge, losing a real extreme point.
     """
+    # sorted, exact duplicates dropped (np.unique(axis=0) is several times
+    # slower); a duplicate would send the chain to the exact turn test
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     if len(pts) == 0:
         return PolygonV.empty()
-    pts = pts[greedy_cluster(pts, tol.eps)[1]]  # merged, sorted
+    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+    pts = pts[np.r_[True, np.any(pts[1:] != pts[:-1], axis=1)]]
     if len(pts) == 1:
         return PolygonV(pts)
-    if len(pts) == 2:
-        return PolygonV(pts)  # already lexicographically sorted
 
     def chain(seq):
         out = []

@@ -1,3 +1,4 @@
+import os
 import sys
 from pathlib import Path
 
@@ -9,6 +10,12 @@ from ppesolve import parse_game
 
 ROOT = Path(__file__).resolve().parents[1]
 GAMES = ROOT / "games"
+
+# tests that start `python3 -m ppesolve.cli` import the package from src/
+# as well, whether or not it is installed
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
+)
 
 
 @pytest.fixture(scope="session")

@@ -130,32 +130,6 @@ def match_point_sets(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
     return True
 
 
-def greedy_cluster_loop(points: np.ndarray, eps: float):
-    """Greedy lexicographic clustering as a plain double loop.
-
-    Each point, in lexicographic order, joins the most recently founded
-    cluster whose founding point lies within eps, or founds a new one.
-    Returns (labels, number of clusters)."""
-    n = len(points)
-    order = np.lexsort(points.T[::-1])
-    labels = np.full(n, -1, dtype=np.int64)
-    reps: list[np.ndarray] = []
-    for idx in order:
-        p = points[idx]
-        found = -1
-        for c in range(len(reps) - 1, -1, -1):
-            if p[0] - reps[c][0] > eps:
-                break
-            if np.linalg.norm(p - reps[c]) <= eps:
-                found = c
-                break
-        if found < 0:
-            reps.append(p)
-            found = len(reps) - 1
-        labels[idx] = found
-    return labels, len(reps)
-
-
 def adjacent_pairs_loop(masks: np.ndarray, min_common: int) -> np.ndarray:
     """Combinatorial adjacency, one dominance test per candidate pair.
 

@@ -193,11 +193,19 @@ class TestSolverConfig:
             {"delta": 0.5, "epsilon": float("inf")},
             {"delta": 0.5, "theta": float("nan")},
             {"delta": 0.5, "theta": float("inf")},
+            {"delta": 0.5, "max_iter": 2.5},
+            {"delta": 0.5, "max_iter": 3.0},
+            {"delta": 0.5, "max_iter": float("nan")},
+            {"delta": 0.5, "max_iter": float("inf")},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             SolverConfig(**kwargs)
+
+    @pytest.mark.parametrize("max_iter", [5, np.int64(5), np.int32(5)])
+    def test_accepts_integer_max_iter(self, max_iter):
+        assert SolverConfig(delta=0.5, max_iter=max_iter).max_iter == 5
 
 
 class TestSolve:

@@ -98,17 +98,23 @@ class TestParse:
         g = parse_game(text)
         assert g.payoffs[0, 0].tolist() == [2.5, -0.25]
 
-    def test_size_caps_with_override(self):
-        big = {
+    def test_size_caps(self):
+        four_actions = {
             "actions": [[f"a{i}" for i in range(4)], ["x"]],
             "payoffs": [[[0, 0]] for _ in range(4)],
             "signals": ["y"],
             "signal_probs": [[[1]] for _ in range(4)],
         }
-        with pytest.raises(GameFormatError, match="allow_large"):
-            parse_game(json.dumps(big))
-        g = parse_game(json.dumps(big), allow_large=True)
-        assert g.num_actions == (4, 1)
+        with pytest.raises(GameFormatError, match="more than 3 actions"):
+            parse_game(json.dumps(four_actions))
+        five_signals = {
+            "actions": [["a"], ["x"]],
+            "payoffs": [[[0, 0]]],
+            "signals": [f"y{k}" for k in range(5)],
+            "signal_probs": [[[1, 0, 0, 0, 0]]],
+        }
+        with pytest.raises(GameFormatError, match="more than 4 signals"):
+            parse_game(json.dumps(five_signals))
 
     def test_round_trip(self, pd_game, cournot_game):
         for g in (pd_game, cournot_game):

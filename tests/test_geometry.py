@@ -11,7 +11,6 @@ from ppesolve.geometry import (
     contains_polygon,
     convex_hull,
     dist_point_polygon,
-    greedy_cluster,
     halfspace_rows,
     hausdorff,
     intersect_halfplane,
@@ -20,7 +19,6 @@ from ppesolve.geometry import (
 )
 
 from oracles import (
-    greedy_cluster_loop,
     hausdorff_sampled,
     hull_vertices_lp,
     match_point_sets,
@@ -118,6 +116,87 @@ class TestConvexHull:
         h1 = convex_hull(pts)
         h2 = convex_hull(h1.vertices)
         assert match_point_sets(h1.vertices, h2.vertices, 1e-7)
+
+    @staticmethod
+    def assert_merged(pts, eps):
+        """No two output vertices within eps, each one an input point, and
+        the hull within 3 eps of qhull's."""
+        pts = np.asarray(pts, dtype=float)
+        ours = convex_hull(pts, Tolerances(eps))
+        v = ours.vertices
+        gaps = np.linalg.norm(v[:, None] - v[None], axis=2)
+        assert np.all(gaps[~np.eye(len(v), dtype=bool)] > eps)
+        assert all(np.any(np.all(pts == q, axis=1)) for q in v)
+        distinct = np.unique(pts, axis=0)
+        if len(distinct) >= 3:
+            oracle = PolygonV(pts[ConvexHull(pts).vertices])
+        else:
+            oracle = PolygonV(distinct)
+        assert hausdorff(ours, oracle) <= 3 * eps
+        return ours
+
+    @pytest.mark.parametrize("shift", [0.0, 0.3, 0.6, 0.99, 1.5])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_shifted_copies_of_hull_points(self, shift, seed):
+        rng = np.random.default_rng(9100 + seed)
+        eps = 1e-3
+        base = rng.uniform(-1.0, 1.0, size=(40, 2))
+        hull = base[ConvexHull(base).vertices]
+        picks = rng.integers(0, len(hull), size=3 * len(hull))
+        step = rng.normal(size=(len(picks), 2))
+        step *= shift * eps / np.linalg.norm(step, axis=1, keepdims=True)
+        pts = np.vstack([base, hull[picks] + step])
+        self.assert_merged(pts[rng.permutation(len(pts))], eps)
+
+    @pytest.mark.parametrize("spacing", [0.3, 0.6, 0.99])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_eps_chain_along_hull_edge(self, spacing, seed):
+        """Points spacing*eps apart, just outside the square's bottom edge,
+        so that each is an extreme point until merged."""
+        rng = np.random.default_rng(9200 + seed)
+        eps = 1e-3
+        x = 0.2 + np.arange(40) * spacing * eps
+        chain = np.column_stack([x, -rng.uniform(0.0, 0.01 * eps, size=40)])
+        square = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
+        pts = np.vstack([square, chain])
+        self.assert_merged(pts[rng.permutation(len(pts))], eps)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_points_within_eps_give_a_point(self, seed):
+        rng = np.random.default_rng(9300 + seed)
+        eps = 1e-6
+        centre = rng.uniform(-1.0, 1.0, size=2)
+        angle = rng.uniform(0.0, 2 * np.pi, size=30)
+        radius = 0.5 * eps * np.sqrt(rng.uniform(0.0, 1.0, size=30))
+        pts = centre + radius[:, None] * np.column_stack([np.cos(angle), np.sin(angle)])
+        ours = self.assert_merged(pts, eps)
+        assert ours.is_point
+        assert ours.vertices.tolist() == [min(pts.tolist())]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_two_points_within_eps_give_a_point(self, seed):
+        rng = np.random.default_rng(9400 + seed)
+        eps = 1e-6
+        a = rng.uniform(-1.0, 1.0, size=2)
+        step = rng.normal(size=2)
+        pts = np.array([a, a + 0.9 * eps * step / np.linalg.norm(step)])
+        ours = self.assert_merged(pts, eps)
+        assert ours.vertices.tolist() == [min(pts.tolist())]
+
+    def test_merge_keeps_lexicographically_smaller_vertex(self):
+        """(1, 0) is not within eps of the chord from (0, 0) to its close
+        neighbour, so only the merge rule decides which of the two stays."""
+        eps = 1e-3
+        near = (1.0 - 0.5 * eps, 0.8 * eps)
+        ours = self.assert_merged([(0.0, 0.0), (1.0, 0.0), near], eps)
+        assert ours.vertices.tolist() == [[0.0, 0.0], list(near)]
+
+    def test_cycle_end_merges_into_first_vertex(self):
+        """The last vertex of the cycle, within eps of the first, merges
+        into it: the lexicographically smaller one is kept."""
+        eps = 1e-3
+        ours = self.assert_merged([(0.0, 0.0), (1.0, -1.0), (0.1 * eps, 0.9 * eps)], eps)
+        assert ours.vertices.tolist() == [[0.0, 0.0], [1.0, -1.0]]
 
     def test_canonical_start_is_lex_min(self):
         p = random_hull()
@@ -353,82 +432,3 @@ class TestRdp:
         assert area(q) <= area(p) + 1e-12
         assert contains_polygon(p, q, 1e-9)
         assert hausdorff(p, q) <= theta + 1e-9
-
-
-class TestGreedyCluster:
-    @staticmethod
-    def assert_matches_loop(points, eps):
-        labels, founders = greedy_cluster(points, eps)
-        ref_labels, ref_count = greedy_cluster_loop(points, eps)
-        assert np.array_equal(labels, ref_labels)
-        assert len(founders) == ref_count
-        # each founder is the lexicographically first point of its cluster
-        first = np.lexsort(points.T[::-1])
-        first = first[np.sort(np.unique(labels[first], return_index=True)[1])]
-        assert np.array_equal(founders, first)
-        return labels
-
-    @pytest.mark.parametrize("dim", [2, 4, 8])
-    @pytest.mark.parametrize("seed", range(5))
-    def test_planted_near_duplicates(self, dim, seed):
-        rng = np.random.default_rng(9000 + 10 * dim + seed)
-        eps = 1e-6
-        base = rng.uniform(-1.0, 1.0, size=(60, dim))
-        picks = rng.integers(0, len(base), size=120)
-        shift = rng.normal(size=(len(picks), dim))
-        shift /= np.linalg.norm(shift, axis=1, keepdims=True)
-        # exact copies, copies well inside eps, near its edge, and beyond it
-        shift *= eps * rng.choice([0.0, 0.3, 0.6, 0.99, 1.5], size=len(picks))[:, None]
-        pts = np.vstack([base, base[picks] + shift])
-        self.assert_matches_loop(pts[rng.permutation(len(pts))], eps)
-
-    @pytest.mark.parametrize("spacing", [0.3, 0.6, 0.99])
-    @pytest.mark.parametrize("dim", [2, 4])
-    def test_eps_chain(self, spacing, dim):
-        """Steps below eps join into one connected chain, but the greedy
-        scan founds a new cluster each time the founder is out of reach."""
-        eps = 1e-3
-        rng = np.random.default_rng(int(spacing * 100) + dim)
-        pts = np.zeros((40, dim))
-        pts[:, 0] = np.arange(40) * spacing * eps
-        pts[:, 1] = rng.uniform(0.0, 0.01 * eps, size=40)
-        labels = self.assert_matches_loop(pts[rng.permutation(40)], eps)
-        assert len(np.unique(labels)) > 1
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_product_tuples_and_eps_boundary(self, seed):
-        """8-D points that differ in one 2-D block, as product seed tuples
-        do, plus pairs just inside and just outside eps."""
-        rng = np.random.default_rng(9500 + seed)
-        eps = 1e-6
-        verts = rng.uniform(-1.0, 1.0, size=(4, 2))
-        digits = rng.integers(0, len(verts), size=(30, 4))
-        base = verts[digits].reshape(-1, 8)
-        rows = rng.integers(0, len(base), size=40)
-        blocks = rng.integers(0, 4, size=len(rows))
-        step = rng.normal(size=(len(rows), 2))
-        step /= np.linalg.norm(step, axis=1, keepdims=True)
-        scale = rng.choice([1 - 1e-9, 1 + 1e-9, 0.5, 3.0], size=len(rows))
-        step *= eps * scale[:, None]
-        moved = base[rows].reshape(-1, 4, 2)
-        moved[np.arange(len(rows)), blocks] += step
-        pts = np.vstack([base, moved.reshape(-1, 8)])
-        self.assert_matches_loop(pts[rng.permutation(len(pts))], eps)
-
-    def test_eps_below_projection_rounding(self):
-        """Close pairs far from the origin, whose projections on the sweep
-        direction round apart by more than 2 eps."""
-        rng = np.random.default_rng(9600)
-        eps = 1e-12
-        x = rng.uniform(5e5, 1e6, 2000)
-        base = np.column_stack([x, rng.uniform(-1.0, 1.0, 2000)])
-        pts = np.vstack([base, base + [0.0, 0.9 * eps]])
-        labels = self.assert_matches_loop(pts, eps)
-        assert np.array_equal(labels[:2000], labels[2000:])
-
-    def test_crossing_chains_and_far_points(self):
-        eps = 1.0
-        t = np.arange(-6, 7) * 0.7
-        cross = np.vstack([np.column_stack([t, 0 * t]), np.column_stack([0 * t, t])])
-        far = np.array([[50.0, 50.0], [-50.0, 50.0], [50.0, 50.0]])
-        self.assert_matches_loop(np.vstack([cross, far]), eps)
