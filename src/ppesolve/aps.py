@@ -203,7 +203,7 @@ def _fold_unreachable_signals(game: StageGame, a: tuple, ic: ICSystem, w: Polygo
     if kept.all():
         return np.arange(S), ic.normals, ic.offsets
     offsets = ic.offsets - np.einsum("ryi,i->r", n[:, ~kept], w.vertices.min(axis=0))
-    normals = n[:, kept].reshape(len(offsets), -1)
+    normals = n[:, kept].reshape(len(offsets), 2 * kept.sum())
     # a row keeps a nonzero kept part: a deviation matching rho(.|a) on
     # its support matches it everywhere, and ic_constraints dropped it
     norm = np.linalg.norm(normals, axis=1)

@@ -5,7 +5,7 @@ parsed exactly before conversion to float.  Action and signal labels are
 validated for uniqueness, action labels may not contain a comma,
 probability rows must be nonnegative and sum to one within 1e-12 (then
 renormalized), and the parser enforces the two-player small-game caps
-(<= 3 actions per player, <= 4 signals) unless explicitly overridden.
+(<= 3 actions per player, <= 4 signals).
 """
 
 from __future__ import annotations

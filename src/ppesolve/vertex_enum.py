@@ -1,22 +1,23 @@
 """Vertices of a product polytope W^k cut by extra rows.
 
 W is a 2-D polygon, so W^k (one copy per signal block) has the tuples of
-W's vertices as its vertices and is seeded from them directly.  The
-enumerator keeps a double description of the working polytope: vertex
-coordinates plus, per vertex, the bitmask of active rows and an explicit
-edge list.  The extra rows are inserted one at a time.  Each cut drops
-the vertices beyond its on-plane band and adds one vertex per crossing
-edge, whose mask is the AND of the edge's endpoint masks plus the cut's
-row; cut points are never merged by coordinates.  The adjacency on the
-new facet is then rebuilt with the combinatorial active-set test, except
-after the last cut, when no edge is read.  A vertex's active rows are
-the masks this bookkeeping carries: the seed's come from W's vertices,
-each cut sets its row's bit on the vertices within its on-plane band
-and on its new vertices, and no coordinate re-check follows.
-When the seed or a cut exceeds the vertex cap, the result is empty and
-marked truncated.  Everything is deterministic: rows are inserted in a
-fixed heuristic order and results are returned in lexicographic vertex
-order.
+W's vertices as its vertices and is seeded from them directly, each
+seed edge stepping one block to its successor along W.  The enumerator
+keeps a double description of the working polytope: vertex
+coordinates, an (n, rows) boolean matrix of active rows, and an
+explicit edge list.  The extra rows are inserted one at a time.  Each
+cut drops the vertices beyond its on-plane band and adds one vertex per
+crossing edge, whose active rows are the AND of the edge's endpoints'
+plus the cut's row; cut points are never merged by coordinates.  The
+adjacency on the new facet is then rebuilt with the combinatorial
+active-set test (`_kernels.adjacent_pairs`), except after the last cut,
+when no edge is read.  A vertex's active rows are the ones this
+bookkeeping carries: the seed's come from W's vertices, each cut sets
+its row on the vertices within its on-plane band and on its new
+vertices, and no coordinate re-check follows.  When the seed or a cut
+exceeds the vertex cap, the result is empty and marked truncated.
+Everything is deterministic: rows are inserted in a fixed heuristic
+order and results are returned in lexicographic vertex order.
 """
 
 from __future__ import annotations
@@ -76,35 +77,6 @@ def _empty_vertex_set(dim: int, truncated: bool = False) -> VertexSet:
     return VertexSet(np.zeros((0, dim)), np.zeros((0, 0), dtype=bool), truncated)
 
 
-# ---------------------------------------------------------------------------
-# bitmask helpers
-
-
-def _words_for(nrows: int) -> int:
-    return max(1, (nrows + 63) // 64)
-
-
-def _bit(row: int, words: int) -> np.ndarray:
-    m = np.zeros(words, dtype=np.uint64)
-    m[row // 64] = np.uint64(1) << np.uint64(row % 64)
-    return m
-
-
-class _DDState:
-    """Mutable working polytope: points, active-row masks, edge list."""
-
-    __slots__ = ("points", "masks", "edges")
-
-    def __init__(self, points, masks, edges):
-        self.points = points  # (n, dim) float64
-        self.masks = masks  # (n, words) uint64
-        self.edges = edges  # (e, 2) int64, sorted pairs, unique; None after the last cut
-
-    @property
-    def num_points(self):
-        return self.points.shape[0]
-
-
 def _sorted_unique_edges(edges: np.ndarray) -> np.ndarray:
     """Rows (i, j) with i < j, deduplicated, in lexicographic order."""
     if len(edges) == 0:
@@ -117,60 +89,62 @@ def _sorted_unique_edges(edges: np.ndarray) -> np.ndarray:
 
 
 def _insert_halfspace(
-    state: _DDState,
+    points: np.ndarray,
+    masks: np.ndarray,
+    edges: np.ndarray,
     normal: np.ndarray,
     offset: float,
     row: int,
     dim: int,
-    words: int,
     tol: Tolerances,
     need_edges: bool,
 ):
-    """Cut the working polytope by normal.x <= offset.  Returns the new
-    state, or None when the cut empties the polytope.  Without
-    need_edges (no further cut follows) the new state has no edge list."""
-    s = state.points @ normal - offset
+    """Cut the working polytope (points, masks, edges) by
+    normal.x <= offset, setting column `row` of the (n, rows) boolean
+    active matrix `masks` where the row is tight.  Edges may be listed
+    in either orientation.  Returns the new (points, masks, edges), or
+    None when the cut empties the polytope.  Without need_edges (no
+    further cut follows) the new edge list is None."""
+    s = points @ normal - offset
     eps = tol.eps * max(1.0, abs(offset))
     status = np.where(s < -eps, 0, np.where(s <= eps, 1, 2)).astype(np.int8)
 
     if not np.any(status <= 1):
         return None
-    bit = _bit(row, words)
     if not np.any(status == 2):
-        on = status == 1
-        state.masks[on] |= bit
-        return state
+        masks[status == 1, row] = True
+        return points, masks, edges
 
     keep = status <= 1
-    new_index = np.full(state.num_points, -1, dtype=np.int64)
+    new_index = np.full(len(points), -1, dtype=np.int64)
     new_index[keep] = np.arange(int(keep.sum()))
-    pts_kept = state.points[keep]
-    masks_kept = state.masks[keep].copy()
+    pts_kept = points[keep]
+    masks_kept = masks[keep]
     on_kept = status[keep] == 1
-    masks_kept[on_kept] |= bit
+    masks_kept[on_kept, row] = True
 
-    e0, e1 = state.edges[:, 0], state.edges[:, 1]
+    e0, e1 = edges[:, 0], edges[:, 1]
     st0, st1 = status[e0], status[e1]
     cross = ((st0 == 0) & (st1 == 2)) | ((st0 == 2) & (st1 == 0))
     # one new vertex per crossing edge; its active rows are those the
     # edge's endpoints share, plus the cut's own row
-    ce = state.edges[cross]
+    ce = edges[cross]
     swap = status[ce[:, 0]] == 2
     ce[swap] = ce[swap][:, ::-1]  # first endpoint strictly inside
     u, v = ce[:, 0], ce[:, 1]
     t = (s[u] / (s[u] - s[v]))[:, None]
-    new_pts = state.points[u] + t * (state.points[v] - state.points[u])
-    new_masks = (state.masks[u] & state.masks[v]) | bit
+    new_pts = points[u] + t * (points[v] - points[u])
+    new_masks = masks[u] & masks[v]
+    new_masks[:, row] = True
     cut_ids = np.arange(len(ce)) + len(pts_kept)
     clipped_edges = np.column_stack([new_index[u], cut_ids])
 
     all_pts = np.vstack([pts_kept, new_pts])
     all_masks = np.vstack([masks_kept, new_masks])
     if not need_edges:
-        return _DDState(all_pts, all_masks, None)
+        return all_pts, all_masks, None
 
-    kept_edges = state.edges[(st0 <= 1) & (st1 <= 1)]
-    kept_edges = np.column_stack([new_index[kept_edges[:, 0]], new_index[kept_edges[:, 1]]])
+    kept_edges = new_index[edges[(st0 <= 1) & (st1 <= 1)]]
 
     # adjacency on the fresh facet: kept on-plane vertices + new vertices
     facet_ids = np.concatenate([np.where(on_kept)[0], cut_ids])
@@ -180,10 +154,11 @@ def _insert_halfspace(
     else:
         facet_edges = np.zeros((0, 2), dtype=np.int64)
 
+    # a kept on-plane edge and the facet test can give the same pair
     edges = _sorted_unique_edges(
         np.vstack([kept_edges, clipped_edges, facet_edges]).astype(np.int64)
     )
-    return _DDState(all_pts, all_masks, edges)
+    return all_pts, all_masks, edges
 
 
 def _insertion_order(normals, offsets, center):
@@ -217,15 +192,17 @@ def product_polytope(w: PolygonV, num_signals: int) -> HPolytope:
 
 
 def _polygon_seed(w: PolygonV):
-    """Per W vertex its active rows of `halfspace_rows(w)`; W's edges."""
-    m = w.num_vertices
+    """W's vertex-by-row active matrix over `halfspace_rows(w)`, and each
+    vertex's successor along W (-1 for none): W's edges are the pairs
+    (k, succ[k]), each listed once."""
     if w.is_point:
-        return [{0, 1, 2, 3}], []
+        return np.ones((1, 4), dtype=bool), np.array([-1])
     if w.is_segment:
-        return [{0, 1, 3}, {0, 1, 2}], [(0, 1)]
-    vact = [{(k - 1) % m, k} for k in range(m)]
-    edges = [(k, (k + 1) % m) for k in range(m)]
-    return vact, edges
+        return np.array([[1, 1, 0, 1], [1, 1, 1, 0]], dtype=bool), np.array([1, -1])
+    k = np.arange(w.num_vertices)
+    active = np.zeros((len(k), len(k)), dtype=bool)
+    active[k, k] = active[k, k - 1] = True
+    return active, (k + 1) % len(k)
 
 
 def enumerate_product(
@@ -242,19 +219,18 @@ def enumerate_product(
     rows first and the extra rows after them; the VertexSet's active
     columns index that stacking.  The product seed is built directly
     from W's vertex tuples, so only the extra rows go through
-    incremental insertion.  The active rows are the double description's
-    own masks: the product rows' from the seed tuples, each extra row's
-    from its cut.  They are not recomputed from the coordinates.  If
-    the seed or a cut has more than `cap` vertices, the VertexSet is
-    empty and truncated.
+    incremental insertion.  The active matrix is the double
+    description's own: the product rows' columns come from the seed
+    tuples, each extra row's from its cut.  It is not recomputed from
+    the coordinates.  If the seed or a cut has more than `cap` vertices,
+    the VertexSet is empty and truncated.
     """
-    vact, edges2 = _polygon_seed(w)
+    active2, succ = _polygon_seed(w)
     v2 = w.vertices
     S = num_signals
     dim = 2 * S
     mv = len(v2)
     prod = product_polytope(w, S)
-    m2 = prod.num_rows // S
     extra_normals = np.asarray(extra_normals, dtype=float).reshape(-1, dim)
     extra_offsets = np.asarray(extra_offsets, dtype=float).reshape(-1)
     stacked = HPolytope(
@@ -262,53 +238,45 @@ def enumerate_product(
         np.vstack([prod.normals, extra_normals]),
         np.concatenate([prod.offsets, extra_offsets]),
     )
-    words = _words_for(stacked.num_rows)
     if mv**S > cap:
         return _empty_vertex_set(dim, truncated=True), stacked
 
     digits = np.stack(
         np.meshgrid(*([np.arange(mv)] * S), indexing="ij"), axis=-1
     ).reshape(-1, S)
-    pts = v2[digits].reshape(len(digits), dim)
+    n = len(digits)
+    pts = v2[digits].reshape(n, dim)
     # a seed point's active rows are those of its W vertex in each block
-    templates = np.zeros((S, mv, words), dtype=np.uint64)
-    for y in range(S):
-        for k in range(mv):
-            for r in vact[k]:
-                templates[y, k] |= _bit(y * m2 + r, words)
-    masks = np.bitwise_or.reduce(templates[np.arange(S), digits], axis=1)
+    masks = np.zeros((n, stacked.num_rows), dtype=bool)
+    masks[:, : prod.num_rows] = active2[digits].reshape(n, prod.num_rows)
 
-    # seed edges: one block steps along an edge of W, the others stay put
+    # seed edges: one block steps to its W successor, the others stay put
     strides = mv ** np.arange(S - 1, -1, -1)
-    edges2 = np.asarray(edges2, dtype=np.int64).reshape(-1, 2)
-    edge_parts = []
-    for y in range(S):
-        ids, e = np.nonzero(digits[:, y, None] == edges2[None, :, 0])
-        step = (edges2[e, 1] - edges2[e, 0]) * strides[y]
-        edge_parts.append(np.column_stack([ids, ids + step]))
-    edges = _sorted_unique_edges(np.vstack(edge_parts))
-    state = _DDState(pts.copy(), masks, edges)
+    nxt = succ[digits]
+    has = nxt >= 0
+    ids = np.arange(n)[:, None]
+    edges = np.column_stack(
+        [np.broadcast_to(ids, has.shape)[has], (ids + (nxt - digits) * strides)[has]]
+    )
 
     center = pts.mean(axis=0)
     order = _insertion_order(extra_normals, extra_offsets, center)
     for k in order:
-        state = _insert_halfspace(
-            state,
+        cut = _insert_halfspace(
+            pts,
+            masks,
+            edges,
             extra_normals[k],
             extra_offsets[k],
-            m2 * S + int(k),
+            prod.num_rows + int(k),
             dim,
-            words,
             tol,
             need_edges=k != order[-1],
         )
-        if state is None:
+        if cut is None:
             return _empty_vertex_set(dim), stacked
-        if state.num_points > cap:
+        pts, masks, edges = cut
+        if len(pts) > cap:
             return _empty_vertex_set(dim, truncated=True), stacked
-    order = np.lexsort(state.points.T[::-1])
-    # bit r of a mask, little-endian across its words, is stacked row r
-    bytes_ = state.masks[order].astype("<u8").view(np.uint8)
-    active = np.unpackbits(bytes_, axis=1, bitorder="little")[:, : stacked.num_rows]
-    return VertexSet(state.points[order], active.astype(bool)), stacked
-
+    order = np.lexsort(pts.T[::-1])
+    return VertexSet(pts[order], masks[order]), stacked

@@ -133,14 +133,15 @@ def match_point_sets(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
 def adjacent_pairs_loop(masks: np.ndarray, min_common: int) -> np.ndarray:
     """Combinatorial adjacency, one dominance test per candidate pair.
 
-    (i, j) with i < j is kept when its common active set has at least
-    min_common bits and no third row of masks contains that set."""
+    masks is an (f, rows) boolean active matrix.  (i, j) with i < j is
+    kept when its common active set has at least min_common rows and no
+    third row of masks contains that set."""
     f = len(masks)
     out = []
     for i in range(f):
         for j in range(i + 1, f):
             c = masks[i] & masks[j]
-            if int(np.bitwise_count(c).sum()) < min_common:
+            if int(c.sum()) < min_common:
                 continue
             dominated = np.all((masks & c) == c, axis=1)
             if int(dominated.sum()) <= 2:

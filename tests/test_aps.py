@@ -12,12 +12,13 @@ from ppesolve.aps import (
     solve,
     verify_enforceability,
 )
-from ppesolve.game import StageGame, individually_rational_set
+from ppesolve.game import StageGame, individually_rational_set, pure_nash
 from ppesolve.geometry import area, contains_point, contains_polygon, convex_hull
 
 from oracles import match_point_sets
 
 CC, CD, DC, DD = (0, 0), (0, 1), (1, 0), (1, 1)
+STOP_REASONS = {"area_epsilon", "hausdorff_epsilon", "max_iter", "empty_set", "truncated"}
 
 
 @pytest.fixture(scope="module")
@@ -29,6 +30,19 @@ def random_2x2_game(rng):
     payoffs = rng.uniform(-4, 4, size=(2, 2, 2))
     probs = rng.dirichlet(np.ones(2), size=(2, 2))
     return StageGame((("a0", "a1"), ("b0", "b1")), payoffs, ("y1", "y2"), probs)
+
+
+def random_small_game(rng):
+    """1-3 actions per player, 1-4 signals, about 40% of the signal
+    probabilities zero, integer payoffs in [-3, 3]."""
+    n1, n2 = (int(k) for k in rng.integers(1, 4, size=2))
+    S = int(rng.integers(1, 5))
+    probs = rng.random((n1, n2, S)) * (rng.random((n1, n2, S)) >= 0.4)
+    probs[probs.sum(axis=2) == 0, rng.integers(S)] = 1.0
+    probs /= probs.sum(axis=2, keepdims=True)
+    labels = (tuple(f"a{k}" for k in range(n1)), tuple(f"b{k}" for k in range(n2)))
+    payoffs = rng.integers(-3, 4, size=(n1, n2, 2))
+    return StageGame(labels, payoffs, tuple(f"y{k}" for k in range(S)), probs)
 
 
 class TestIcConstraints:
@@ -272,3 +286,18 @@ class TestSolve:
         sharp = solve(pd_game, SolverConfig(delta=0.9, max_iter=10))
         coarse = solve(pd_game, SolverConfig(delta=0.9, theta=0.02, max_iter=10))
         assert len(coarse.trace[-1].vertices) <= len(sharp.trace[-1].vertices)
+
+    def test_small_random_games(self):
+        rng = np.random.default_rng(1400)
+        for _ in range(40):
+            game = random_small_game(rng)
+            scale = max(1.0, game.payoff_magnitude)
+            nash = [game.payoffs[a] for a in pure_nash(game)]
+            for delta, theta in ((0.3, 0.0), (0.8, 0.05)):
+                rep = solve(game, SolverConfig(delta=delta, theta=theta, max_iter=15))
+                assert rep.stop_reason in STOP_REASONS
+                if theta > 0:
+                    continue
+                for t in rep.trace:
+                    w = convex_hull(t.vertices)
+                    assert all(contains_point(w, v, 1e-7 * scale) for v in nash)

@@ -7,11 +7,13 @@ signal block, all deviation rows) and solved as one LP per direction, so
 it shares only the row builders with the enumeration path.
 """
 
+import json
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from ppesolve import aps
+from ppesolve import aps, parse_game
 from ppesolve.aps import (
     Certificate,
     SolverConfig,
@@ -311,3 +313,33 @@ class TestRowScreen:
         assert not truncated and p.num_vertices == 4
         assert hausdorff(p, expected) <= 1e-12 * scale
         assert abs(area(p) - delta**2) <= 1e-12 * scale
+
+    # profiles with no deviation row and a signal they never emit: the
+    # 1x1 game has one profile; in the 2x1 game player 1's deviation at
+    # (B, C) loses and emits the same signal, so ic_constraints drops it
+    ROW_FREE_GAMES = {
+        "1x1": ({"actions": [["A"], ["B"]], "payoffs": [[[-1, 2]]],
+                 "signals": ["y0", "y1"], "signal_probs": [[[0, 1]]]}, (0, 0), (-1.0, 2.0)),
+        "2x1": ({"actions": [["A", "B"], ["C"]], "payoffs": [[[1, 2]], [[3, 3]]],
+                 "signals": ["y", "z"], "signal_probs": [[[1, 0]], [[1, 0]]]}, (1, 0), (3.0, 3.0)),
+    }
+
+    @pytest.mark.parametrize("name", ROW_FREE_GAMES)
+    def test_row_free_profile_is_discounted_stage_payoff_plus_w(self, name, no_enumeration):
+        spec, a, _ = self.ROW_FREE_GAMES[name]
+        game = parse_game(json.dumps(spec))
+        delta = 0.3
+        assert len(ic_constraints(game, a, delta).offsets) == 0
+        scale = max(1.0, game.payoff_magnitude)
+        for w in (self.W, individually_rational_set(game).individually_rational):
+            p, truncated = enforceable_payoffs(game, a, delta, w)
+            expected = convex_hull((1 - delta) * game.payoffs[a] + delta * w.vertices)
+            assert not truncated and not p.is_empty
+            assert hausdorff(p, expected) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("name", ROW_FREE_GAMES)
+    def test_row_free_profile_solves(self, name):
+        spec, _, point = self.ROW_FREE_GAMES[name]
+        rep = solve(parse_game(json.dumps(spec)), SolverConfig(delta=0.3))
+        assert rep.stop_reason == "hausdorff_epsilon"
+        assert np.abs(rep.final_set.vertices - point).max() <= rep.tolerances.eps

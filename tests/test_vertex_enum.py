@@ -303,12 +303,14 @@ class TestAffineImage:
 
 
 def random_facet_masks(rng, f, words, rows):
-    """f active-set masks over `rows` row bits spread across the words."""
-    bit_ids = rng.choice(64 * words, size=rows, replace=False)
+    """An (f, 64 * words - 3) boolean active matrix whose `rows` random
+    columns are in use; the width is not a multiple of 64, so the
+    kernel pads it before packing it into `words` words."""
+    cols = rng.choice(64 * words - 3, size=rows, replace=False)
     active = rng.random((f, rows)) < rng.uniform(0.3, 0.8)
-    bits = np.zeros((f, 64 * words), dtype=bool)
-    bits[:, bit_ids] = active
-    return np.packbits(bits, axis=1, bitorder="little").view(np.uint64)
+    masks = np.zeros((f, 64 * words - 3), dtype=bool)
+    masks[:, cols] = active
+    return masks
 
 
 class TestKernels:
