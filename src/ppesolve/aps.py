@@ -7,9 +7,10 @@ players' deviations reach it, its block is dropped or fixed at the
 deviator's harshest point of W.  Each row's extremes over W^k are sums
 of per-block extremes over W's vertices, so a row that cannot cut is
 dropped, and a row that excludes all of W^k empties the profile, before
-anything is enumerated.  The continuation polytope over the remaining
-signals is cut by the remaining rows, the vertices that can map to
-extreme payoffs are pushed through the discounted-average map, and the
+any simplex pivot.  The payoff set of a profile is the image of the
+continuation polytope over the remaining signals, cut by the remaining
+rows, under the discounted-average map; a simplex walk along the
+polytope's 2-D shadow finds its vertices (`shadow`), and the
 per-profile payoff sets are hulled together.  Iterating that operator
 from the individually rational feasible set and stopping on an
 area-difference threshold yields an outer bound on the equilibrium
@@ -36,7 +37,9 @@ from .geometry import (
     intersect_polygons,
     rdp_simplify,
 )
-from .vertex_enum import DEFAULT_VERTEX_CAP, enumerate_product, product_polytope
+from .shadow import shadow_polygon
+# unused here, but perfbench/tracing.py probes aps.enumerate_product by name
+from .vertex_enum import enumerate_product, product_polytope  # noqa: F401
 
 
 # relative rounding bound per term of a dot product, with room to spare
@@ -88,7 +91,6 @@ class SolverConfig:
 class BResult:
     set: PolygonV  # B(W), after optional boundary simplification
     per_action: dict  # profile label tuple -> PolygonV (possibly empty)
-    truncated: bool
 
 
 @dataclass(frozen=True)
@@ -105,7 +107,7 @@ class IterationTrace:
 @dataclass(frozen=True)
 class Report:
     trace: tuple  # of IterationTrace
-    stop_reason: str  # area_epsilon | hausdorff_epsilon | max_iter | empty_set | truncated
+    stop_reason: str  # area_epsilon | hausdorff_epsilon | max_iter | empty_set
     final_set: PolygonV
     config: SolverConfig
     tolerances: Tolerances
@@ -214,9 +216,9 @@ def _cutting_rows(w: PolygonV, k: int, normals, offsets, tol: Tolerances):
     """Indices of the rows that may cut W^k; None when one row empties it.
 
     A row's least and greatest values over W^k are sums of per-block
-    extremes over W's vertices.  The margin is the enumerator's on-plane
+    extremes over W's vertices.  The margin is the shadow walk's on-plane
     band plus a bound on the rounding of either sum, so a row dropped
-    here would leave every enumerated point strictly inside, and a row
+    here would leave every vertex of W^k strictly inside, and a row
     that empties here would leave none on or inside its plane.
     """
     n = normals.reshape(len(offsets), k, 2)
@@ -228,21 +230,6 @@ def _cutting_rows(w: PolygonV, k: int, normals, offsets, tol: Tolerances):
     return np.flatnonzero(vals.max(axis=2).sum(axis=1) - offsets >= -margin)
 
 
-def _extreme_candidates(vs, rows: int, emitted: np.ndarray) -> np.ndarray:
-    """Vertices of the cut polytope Q whose images can be extreme in P(a).
-
-    A generic direction exposing an extreme point of P(a) is maximised
-    over Q at some vertex.  If no deviation row is active there, it is a
-    local, hence global, maximiser over W^k, so every emitted block sits
-    on the one vertex of W that maximises the direction.  Candidates are
-    therefore the vertices with a deviation row active, and those whose
-    emitted blocks are equal.
-    """
-    blocks = vs.points.reshape(vs.num_points, -1, 2)[:, emitted]
-    same = (blocks == blocks[:, :1]).all(axis=(1, 2))
-    return same | vs.active[:, -rows:].any(axis=1)
-
-
 def enforceable_payoffs(
     game: StageGame,
     a: tuple,
@@ -252,44 +239,37 @@ def enforceable_payoffs(
 ):
     """P(a): image of the IC-cut continuation polytope, as a polygon.
 
-    Vertices are enumerated over the signals `a` can emit plus those
-    that both players' deviations reach; every other signal block is
-    dropped or folded into the deviation rows' offsets (see
+    The polytope lives over the signals `a` can emit plus those that
+    both players' deviations reach; every other signal block is dropped
+    or folded into the deviation rows' offsets (see
     `_fold_unreachable_signals`), which leaves P(a) unchanged.
 
     Rows are then screened over W^k (`_cutting_rows`): P(a) is empty if
     one row excludes all of W^k, and a row that cuts nothing is dropped.
     With no row left, P(a) = (1-delta) u(a) + delta W in closed form.
-    Otherwise only the vertices that can be extreme are hulled: one
-    with no deviation row active that maximises a generic direction
-    over the cut polytope maximises it over W^k, so its emitted blocks
-    all sit on one vertex of W (`_extreme_candidates`).
+    Otherwise a simplex walk along the polytope's 2-D shadow finds the
+    vertices of P(a) (`shadow.shadow_polygon`).
 
-    Returns (PolygonV, truncated).  An empty polygon means `a` is not
-    enforceable against W, unless truncated is set: then the vertex cap
-    stopped the enumeration and P(a) is unknown.
+    Returns (PolygonV, pivots): an empty polygon means `a` is not
+    enforceable against W; pivots counts the walk's simplex pivots, 0
+    when the screen or the closed form settles the profile.
     """
     if w.is_empty:
-        return PolygonV.empty(), False
+        return PolygonV.empty(), 0
     ic = ic_constraints(game, a, delta)
     if ic.infeasible:
-        return PolygonV.empty(), False
+        return PolygonV.empty(), 0
     kept, normals, offsets = _fold_unreachable_signals(game, a, ic, w)
     rows = _cutting_rows(w, len(kept), normals, offsets, tol)
     if rows is None:
-        return PolygonV.empty(), False
+        return PolygonV.empty(), 0
     M, c = _payoff_map(game, a, delta)
     cols = (2 * kept[:, None] + np.arange(2)).ravel()
     if len(rows) == 0:
         # Q = W^k, so P(a) = (1-delta) u(a) + delta W: the images of the
         # tuples that repeat one vertex of W
-        return convex_hull(np.tile(w.vertices, len(kept)) @ M[:, cols].T + c, tol), False
-    vs, _ = enumerate_product(w, len(kept), normals[rows], offsets[rows], tol, DEFAULT_VERTEX_CAP)
-    if vs.is_empty:
-        return PolygonV.empty(), vs.truncated
-    emitted = game.signal_probs[a[0], a[1]][kept] > 0
-    pts = (vs.points @ M[:, cols].T + c)[_extreme_candidates(vs, len(rows), emitted)]
-    return convex_hull(pts, tol), False
+        return convex_hull(np.tile(w.vertices, len(kept)) @ M[:, cols].T + c, tol), 0
+    return shadow_polygon(w, len(kept), normals[rows], offsets[rows], M[:, cols], c, tol)
 
 
 def apply_B(
@@ -305,20 +285,18 @@ def apply_B(
     """
     per_action = {}
     pts = []
-    truncated = False
     for a in game.profiles():
-        poly, trunc = enforceable_payoffs(game, a, delta, w, tol)
+        poly, _ = enforceable_payoffs(game, a, delta, w, tol)
         label = (game.action_labels[0][a[0]], game.action_labels[1][a[1]])
         per_action[label] = poly
-        truncated = truncated or trunc
         if not poly.is_empty:
             pts.append(poly.vertices)
     if not pts:
-        return BResult(PolygonV.empty(), per_action, truncated)
+        return BResult(PolygonV.empty(), per_action)
     hull = convex_hull(np.vstack(pts), tol)
     if theta > 0:
         hull = rdp_simplify(hull, theta, tol)
-    return BResult(hull, per_action, truncated)
+    return BResult(hull, per_action)
 
 
 def solve(game: StageGame, config: SolverConfig) -> Report:
@@ -352,15 +330,6 @@ def solve(game: StageGame, config: SolverConfig) -> Report:
         t0 = time.perf_counter()
         res = apply_B(game, config.delta, w, config.theta, tol)
         wall_ms = (time.perf_counter() - t0) * 1e3
-        if res.truncated:
-            # a profile's P(a) is unknown, so B(W) is too; W stays the
-            # last complete iterate
-            stop_reason = "truncated"
-            message = (
-                f"vertex cap exceeded in iteration {k}: the last complete "
-                f"iterate ({k - 1}) is reported, not converged"
-            )
-            break
         # boundary simplification trims vertices inward, so a later
         # application of the operator may partially regrow past the
         # previous iterate; clipping restores the monotone descent
@@ -413,7 +382,7 @@ def verify_enforceability(
 
     Solves the stacked feasibility system (continuations in W, deviation
     rows, promised value pinned to v) with an LP that never touches the
-    enumeration path.  Returns a Certificate or a Refusal naming the
+    shadow walk.  Returns a Certificate or a Refusal naming the
     most-violated row.
     """
     from scipy.optimize import linprog  # only this check needs scipy

@@ -14,13 +14,12 @@ from .reporting import emit_svg, write_report_json, write_trace_csv
 
 EMIT_CHOICES = ("report_json", "trace_csv", "svg")
 
-# terminal results exit 0; hitting a resource limit exits 2
+# terminal results exit 0; stopping at max_iter exits 2
 _EXIT_BY_REASON = {
     "area_epsilon": 0,
     "hausdorff_epsilon": 0,
     "empty_set": 0,
     "max_iter": 2,
-    "truncated": 2,
 }
 
 

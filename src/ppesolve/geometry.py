@@ -311,37 +311,47 @@ def hausdorff(p: PolygonV, q: PolygonV) -> float:
     return float(max(d_pq, d_qp))
 
 
-def _rdp_chain(pts: np.ndarray, theta: float) -> list:
-    """Standard recursive simplification of an open polyline."""
+def _rdp_chain(pts: np.ndarray, theta: float, eps: float) -> list:
+    """Standard recursive simplification of an open polyline.
+
+    The split is at the first vertex within eps of the farthest, so a
+    tie is not broken by rounding noise.
+    """
     if len(pts) <= 2:
         return list(pts)
     a, b = pts[0], pts[-1]
     d = _point_segment_dists(pts[1:-1], a[None], b[None])[:, 0]
-    k = int(np.argmax(d))
-    if d[k] <= theta:
+    top = d.max()
+    if top <= theta:
         return [a, b]
-    left = _rdp_chain(pts[: k + 2], theta)
-    right = _rdp_chain(pts[k + 1 :], theta)
+    k = int(np.argmax(d >= top - eps))
+    left = _rdp_chain(pts[: k + 2], theta, eps)
+    right = _rdp_chain(pts[k + 1 :], theta, eps)
     return left[:-1] + right
 
 
 def rdp_simplify(p: PolygonV, theta: float, tol: Tolerances = DEFAULT_TOL) -> PolygonV:
     """Boundary simplification keeping a subset of the original vertices.
 
-    The closed boundary is split at the two lexicographic extreme
-    vertices into two open chains; both anchors always survive.  With
-    theta = 0 the polygon is returned unchanged.
+    The closed boundary is split into two open chains at two anchors,
+    which always survive: the vertex of least x and the vertex of
+    greatest x, with x compared to within eps and ties going to the
+    least and the greatest y.  With theta = 0 the polygon is returned
+    unchanged.
     """
     if theta < 0:
         raise ValueError("theta must be >= 0")
     if theta == 0 or p.num_vertices <= 3:
         return p
     v = p.vertices
-    # canonical form starts at the lexicographic minimum
-    hi = int(np.lexsort((v[:, 1], v[:, 0]))[-1])
+    x, y = v[:, 0], v[:, 1]
+    lo = int(np.argmin(np.where(x <= x.min() + tol.eps, y, np.inf)))
+    hi = int(np.argmax(np.where(x >= x.max() - tol.eps, y, -np.inf)))
+    v = np.roll(v, -lo, axis=0)
+    hi = (hi - lo) % len(v)
     chain1 = v[: hi + 1]
     chain2 = np.vstack([v[hi:], v[:1]])
-    out = _rdp_chain(chain1, theta)[:-1] + _rdp_chain(chain2, theta)[:-1]
+    out = _rdp_chain(chain1, theta, tol.eps)[:-1] + _rdp_chain(chain2, theta, tol.eps)[:-1]
     return convex_hull(out, tol)
 
 

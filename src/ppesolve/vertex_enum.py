@@ -1,5 +1,9 @@
 """Vertices of a product polytope W^k cut by extra rows.
 
+The solve path uses only `product_polytope` from this module: P(a)
+comes from the shadow walk (`shadow`).  The enumerator stays as the
+oracle that tests hold the walk against.
+
 W is a 2-D polygon, so W^k (one copy per signal block) has the tuples of
 W's vertices as its vertices and is seeded from them directly, each
 seed edge stepping one block to its successor along W.  The enumerator

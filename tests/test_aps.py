@@ -18,7 +18,7 @@ from ppesolve.geometry import area, contains_point, contains_polygon, convex_hul
 from oracles import match_point_sets
 
 CC, CD, DC, DD = (0, 0), (0, 1), (1, 0), (1, 1)
-STOP_REASONS = {"area_epsilon", "hausdorff_epsilon", "max_iter", "empty_set", "truncated"}
+STOP_REASONS = {"area_epsilon", "hausdorff_epsilon", "max_iter", "empty_set"}
 
 
 @pytest.fixture(scope="module")
@@ -79,8 +79,8 @@ class TestIcConstraints:
 
 class TestEnforceablePayoffs:
     def test_cooperation_region_at_delta_09(self, pd_game, pd_w0):
-        p, truncated = enforceable_payoffs(pd_game, CC, 0.9, pd_w0)
-        assert not truncated
+        p, pivots = enforceable_payoffs(pd_game, CC, 0.9, pd_w0)
+        assert pivots > 0  # both deviation rows cut W^2, so the walk runs
         assert match_point_sets(
             p.vertices,
             [(0.6, 0.6), (2.2, 0.6), (1.8, 1.8), (0.6, 2.2)],
@@ -99,8 +99,8 @@ class TestEnforceablePayoffs:
     def test_empty_continuation_set_gives_empty(self, pd_game):
         from ppesolve.geometry import PolygonV
 
-        p, truncated = enforceable_payoffs(pd_game, CC, 0.9, PolygonV.empty())
-        assert p.is_empty and not truncated
+        p, pivots = enforceable_payoffs(pd_game, CC, 0.9, PolygonV.empty())
+        assert p.is_empty and pivots == 0
 
     @pytest.mark.parametrize("profile", [CC, CD, DC, DD])
     def test_vertices_carry_certificates(self, pd_game, pd_w0, profile):
@@ -248,18 +248,18 @@ class TestSolve:
         assert rep.stop_reason == "max_iter"
         assert len(rep.trace) == 4
 
-    def test_vertex_cap_reports_last_complete_iterate(self, pd_game, monkeypatch):
-        # with a cap of 1000 the exact PD run cannot finish iteration 6
-        monkeypatch.setattr(aps, "DEFAULT_VERTEX_CAP", 1000)
-        rep = solve(pd_game, SolverConfig(delta=0.9, max_iter=40))
-        assert rep.stop_reason == "truncated" and not rep.converged
-        assert rep.iterations == 5
-        assert "last complete iterate" in rep.message
+    def test_exact_pd_stops_on_max_iter(self, pd_game):
+        # iterate 12 has 539 vertices: the exact run needs no vertex cap
+        rep = solve(pd_game, SolverConfig(delta=0.9, max_iter=13))
+        assert rep.stop_reason == "max_iter" and not rep.converged
+        assert rep.iterations == 13
         assert np.array_equal(rep.final_set.vertices, rep.trace[-1].vertices)
-        monkeypatch.undo()
-        uncapped = solve(pd_game, SolverConfig(delta=0.9, max_iter=6))
-        assert uncapped.stop_reason == "max_iter"
-        assert rep.final_set.vertices.tobytes() == uncapped.trace[5].vertices.tobytes()
+
+    def test_exact_cournot_known_answer(self, cournot_game):
+        # the same answer the vertex enumerator gave in about a minute
+        rep = solve(cournot_game, SolverConfig(delta=0.9))
+        assert rep.stop_reason == "area_epsilon" and rep.iterations == 24
+        assert area(rep.final_set) == pytest.approx(190.2176, abs=1e-3)
 
     def test_empty_rational_set_stops_immediately(self):
         # matching pennies: pure minmax (1, 1) lies outside the feasible set

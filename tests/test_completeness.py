@@ -4,7 +4,7 @@ its deviation rows over W^k changes it.
 
 The reference is posed on the unfolded problem (continuations on every
 signal block, all deviation rows) and solved as one LP per direction, so
-it shares only the row builders with the enumeration path.
+it shares only the row builders with the shadow walk.
 """
 
 import json
@@ -28,6 +28,7 @@ from ppesolve.aps import (
 )
 from ppesolve.game import StageGame, individually_rational_set
 from ppesolve.geometry import PolygonV, Tolerances, area, contains_point, convex_hull, hausdorff
+from ppesolve.shadow import shadow_polygon
 from ppesolve.vertex_enum import enumerate_product, product_polytope
 
 ANGLES = 2 * np.pi * (np.arange(32) + 0.25) / 32
@@ -175,16 +176,16 @@ class TestFold:
         assert compared > 0
 
     @staticmethod
-    def blocks_enumerated(game, delta, monkeypatch):
+    def blocks_walked(game, delta, monkeypatch):
         # one recorded call per profile: at W0 with delta 0.9 the row
-        # screen settles no Cournot or PD profile, so each one enumerates
+        # screen settles no Cournot or PD profile, so each one is walked
         seen = []
 
         def recording(w, num_signals, *args):
             seen.append(num_signals)
-            return enumerate_product(w, num_signals, *args)
+            return shadow_polygon(w, num_signals, *args)
 
-        monkeypatch.setattr(aps, "enumerate_product", recording)
+        monkeypatch.setattr(aps, "shadow_polygon", recording)
         w0 = individually_rational_set(game).individually_rational
         counts = {}
         for a in game.profiles():
@@ -193,7 +194,7 @@ class TestFold:
         return counts
 
     def test_cournot_block_counts(self, cournot_game, monkeypatch):
-        counts = self.blocks_enumerated(cournot_game, 0.9, monkeypatch)
+        counts = self.blocks_walked(cournot_game, 0.9, monkeypatch)
         assert counts == {
             "(L,L)": 1, "(L,H)": 1, "(H,L)": 1, "(H,H)": 1,
             "(L,M)": 2, "(M,L)": 2, "(M,H)": 2, "(H,M)": 2,
@@ -201,7 +202,7 @@ class TestFold:
         }
 
     def test_pd_keeps_every_block(self, pd_game, monkeypatch):
-        counts = self.blocks_enumerated(pd_game, 0.9, monkeypatch)
+        counts = self.blocks_walked(pd_game, 0.9, monkeypatch)
         assert set(counts.values()) == {2}
 
 
@@ -289,28 +290,28 @@ class TestRowScreen:
         return StageGame((("a0", "a1"), ("b",)), payoffs, ("y0", "y1"), probs)
 
     @pytest.fixture
-    def no_enumeration(self, monkeypatch):
+    def no_walk(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("the row screen should have settled this profile")
 
-        monkeypatch.setattr(aps, "enumerate_product", refuse)
+        monkeypatch.setattr(aps, "shadow_polygon", refuse)
 
-    def test_row_minimum_above_offset_is_empty(self, no_enumeration):
+    def test_row_minimum_above_offset_is_empty(self, no_walk):
         game = self.one_row_game(100.0)
         ic = ic_constraints(game, (0, 0), 0.5)
         assert len(ic.offsets) == 1
         lowest = sum((ic.normals[0].reshape(2, 2) @ self.W.vertices.T).min(axis=1))
         assert lowest > ic.offsets[0]
-        p, truncated = enforceable_payoffs(game, (0, 0), 0.5, self.W)
-        assert p.is_empty and not truncated
+        p, pivots = enforceable_payoffs(game, (0, 0), 0.5, self.W)
+        assert p.is_empty and pivots == 0
 
-    def test_all_slack_profile_is_discounted_stage_payoff_plus_w(self, no_enumeration):
+    def test_all_slack_profile_is_discounted_stage_payoff_plus_w(self, no_walk):
         game = self.one_row_game(-100.0)
         delta = 0.5
         scale = max(1.0, game.payoff_magnitude)
-        p, truncated = enforceable_payoffs(game, (0, 0), delta, self.W)
+        p, pivots = enforceable_payoffs(game, (0, 0), delta, self.W)
         expected = convex_hull((1 - delta) * game.payoffs[0, 0] + delta * self.W.vertices)
-        assert not truncated and p.num_vertices == 4
+        assert pivots == 0 and p.num_vertices == 4
         assert hausdorff(p, expected) <= 1e-12 * scale
         assert abs(area(p) - delta**2) <= 1e-12 * scale
 
@@ -325,16 +326,16 @@ class TestRowScreen:
     }
 
     @pytest.mark.parametrize("name", ROW_FREE_GAMES)
-    def test_row_free_profile_is_discounted_stage_payoff_plus_w(self, name, no_enumeration):
+    def test_row_free_profile_is_discounted_stage_payoff_plus_w(self, name, no_walk):
         spec, a, _ = self.ROW_FREE_GAMES[name]
         game = parse_game(json.dumps(spec))
         delta = 0.3
         assert len(ic_constraints(game, a, delta).offsets) == 0
         scale = max(1.0, game.payoff_magnitude)
         for w in (self.W, individually_rational_set(game).individually_rational):
-            p, truncated = enforceable_payoffs(game, a, delta, w)
+            p, pivots = enforceable_payoffs(game, a, delta, w)
             expected = convex_hull((1 - delta) * game.payoffs[a] + delta * w.vertices)
-            assert not truncated and not p.is_empty
+            assert pivots == 0 and not p.is_empty
             assert hausdorff(p, expected) <= 1e-12 * scale
 
     @pytest.mark.parametrize("name", ROW_FREE_GAMES)

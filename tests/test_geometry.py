@@ -432,3 +432,30 @@ class TestRdp:
         assert area(q) <= area(p) + 1e-12
         assert contains_polygon(p, q, 1e-9)
         assert hausdorff(p, q) <= theta + 1e-9
+
+    # a nudge of the order of rounding noise must not move the result:
+    # at the left anchor (a vertex at x = 1e-17 against one at 0.0 on
+    # the same vertical edge), and at a tie of distances to a chord in a
+    # mirror-symmetric polygon
+    NUDGED = {
+        "x=+0 anchor": (
+            [[0.0, -1.0], [2.9, -2.4], [2.9, -1.0], [1.3, 3.5], [0.2, 2.9], [0.0, 0.8]],
+            0.25, (0, 0), 1e-17,
+        ),
+        "mirror tie": (
+            [[-1.1, -1.1], [1.1, -1.1], [0.8, 0.1], [0.4, 1.1], [-0.4, 1.1], [-0.8, 0.1]],
+            0.75, (4, 1), 4.4e-16,
+        ),
+    }
+
+    @pytest.mark.parametrize("name", NUDGED)
+    def test_rounding_noise_does_not_move_the_result(self, name):
+        vertices, theta, (k, axis), shift = self.NUDGED[name]
+        p = convex_hull(vertices)
+        nudged = np.array(vertices)
+        nudged[k, axis] += shift
+        q = convex_hull(nudged)
+        assert not np.array_equal(p.vertices, q.vertices)
+        a, b = rdp_simplify(p, theta), rdp_simplify(q, theta)
+        assert a.num_vertices == b.num_vertices
+        assert hausdorff(a, b) <= 1e-12
