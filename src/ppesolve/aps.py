@@ -4,13 +4,19 @@ For each action profile the incentive constraints are expressed purely
 in the continuation mapping (the promised value is substituted out).  A
 signal the profile never emits only punishes deviations; unless both
 players' deviations reach it, its block is dropped or fixed at the
-deviator's harshest point of W.  Each row's extremes over W^k are sums
-of per-block extremes over W's vertices, so a row that cannot cut is
-dropped, and a row that excludes all of W^k empties the profile, before
-any simplex pivot.  The payoff set of a profile is the image of the
-continuation polytope over the remaining signals, cut by the remaining
-rows, under the discounted-average map; a simplex walk along the
-polytope's 2-D shadow finds its vertices (`shadow`), and the
+deviator's harshest point of W.  None of this depends on W, so `solve`
+compiles it once per profile (`compile_profile`): the deviation rows,
+the signals kept, the folded rows and the payoff map on the kept
+signals.
+
+Each iterate, per profile, only the W-dependent work remains.  A folded
+row's offset moves with W's lowest payoffs.  Each row's extremes over
+W^k are sums of per-block extremes over W's vertices, so a row that
+cannot cut is dropped, and a row that excludes all of W^k empties the
+profile, before any simplex pivot.  The payoff set of a profile is the
+image of the continuation polytope over the kept signals, cut by the
+remaining rows, under the discounted-average map; a simplex walk along
+the polytope's 2-D shadow finds its vertices (`shadow`), and the
 per-profile payoff sets are hulled together.  Iterating that operator
 from the individually rational feasible set and stopping on an
 area-difference threshold yields an outer bound on the equilibrium
@@ -28,6 +34,7 @@ import numpy as np
 
 from .game import StageGame, individually_rational_set
 from .geometry import (
+    _ROUNDING,
     DEFAULT_TOL,
     PolygonV,
     Tolerances,
@@ -41,9 +48,6 @@ from .shadow import shadow_polygon
 # unused here, but perfbench/tracing.py probes aps.enumerate_product by name
 from .vertex_enum import enumerate_product, product_polytope  # noqa: F401
 
-
-# relative rounding bound per term of a dot product, with room to spare
-_ROUNDING = 8 * np.finfo(float).eps
 
 # once an iterate's area is below epsilon, the run has converged when
 # the Hausdorff distance between successive iterates is below this
@@ -185,8 +189,36 @@ def _payoff_map(game: StageGame, a: tuple, delta: float):
     return M, c
 
 
-def _fold_unreachable_signals(game: StageGame, a: tuple, ic: ICSystem, w: PolygonV):
-    """Deviation rows over the signals that still matter for P(a).
+@dataclass(frozen=True)
+class ProfileSystem:
+    """What P(a) needs of the stage game, compiled once per (game, a, delta).
+
+    An iterate changes only W, so the deviation rows, the signals kept,
+    the folded unit rows and the payoff map stay fixed for a whole
+    solve.  Only the offsets of rows that fold a signal depend on W,
+    through W's lowest payoff per player (`offsets`).
+    """
+
+    ic: ICSystem
+    kept: np.ndarray  # (k,) signal indices the polytope keeps
+    normals: np.ndarray  # (r, 2k) unit rows over the kept blocks
+    abs_blocks: np.ndarray  # (r, k, 2): |normals| by block, for the screen's size bound
+    folded: np.ndarray  # (r, S-k, 2): ic's coefficients on the other signals
+    norm: np.ndarray  # (r,) length of each ic row's kept part
+    M: np.ndarray  # (2, 2k) payoff map on the kept columns
+    c: np.ndarray  # (2,)
+
+    def offsets(self, w: PolygonV) -> np.ndarray:
+        """Row offsets over W: a folded signal's block sits at W's lowest
+        payoff for the player whose rows reach it."""
+        if self.folded.shape[1] == 0:
+            return self.ic.offsets
+        shift = np.einsum("ryi,i->r", self.folded, w.vertices.min(axis=0))
+        return (self.ic.offsets - shift) / self.norm
+
+
+def compile_profile(game: StageGame, a: tuple, delta: float) -> ProfileSystem:
+    """P(a)'s system of rows over the signals that still matter, for any W.
 
     A signal that `a` never emits leaves the promised value alone; its
     coefficients, delta * rho(y|d) / |n| >= 0, sit on the deviating
@@ -194,25 +226,37 @@ def _fold_unreachable_signals(game: StageGame, a: tuple, ic: ICSystem, w: Polygo
     block drops out: when only player i's rows reach it, gamma(y) at
     player i's lowest payoff in W satisfies each of those rows at least
     as well as any other point of W, so that term moves into the
-    offsets.  Returns (kept signal indices, normals, offsets); when
-    nothing folds these are ic's own arrays.
+    offsets.  When nothing folds, the rows are ic's own.
     """
+    ic = ic_constraints(game, a, delta)
     S = game.num_signals
     rho = game.signal_probs[a[0], a[1]]
-    n = ic.normals.reshape(len(ic.offsets), S, 2)
+    r = len(ic.offsets)
+    n = ic.normals.reshape(r, S, 2)
     reached = (n != 0).any(axis=0)  # (S, 2): player i's rows reach signal y
     kept = (rho > 0) | reached.all(axis=1)
     if kept.all():
-        return np.arange(S), ic.normals, ic.offsets
-    offsets = ic.offsets - np.einsum("ryi,i->r", n[:, ~kept], w.vertices.min(axis=0))
-    normals = n[:, kept].reshape(len(offsets), 2 * kept.sum())
-    # a row keeps a nonzero kept part: a deviation matching rho(.|a) on
-    # its support matches it everywhere, and ic_constraints dropped it
-    norm = np.linalg.norm(normals, axis=1)
-    return np.flatnonzero(kept), normals / norm[:, None], offsets / norm
+        normals, folded, norm = ic.normals, np.zeros((r, 0, 2)), np.ones(r)
+    else:
+        folded = n[:, ~kept]
+        normals = n[:, kept].reshape(r, 2 * kept.sum())
+        # a row keeps a nonzero kept part: a deviation matching rho(.|a)
+        # on its support matches it everywhere, and ic_constraints dropped it
+        norm = np.linalg.norm(normals, axis=1)
+        normals = normals / norm[:, None]
+    kept = np.flatnonzero(kept)
+    M, c = _payoff_map(game, a, delta)
+    cols = (2 * kept[:, None] + np.arange(2)).ravel()
+    abs_blocks = np.abs(normals).reshape(r, len(kept), 2)
+    return ProfileSystem(ic, kept, normals, abs_blocks, folded, norm, M[:, cols], c)
 
 
-def _cutting_rows(w: PolygonV, k: int, normals, offsets, tol: Tolerances):
+def compile_profiles(game: StageGame, delta: float) -> tuple:
+    """`compile_profile` for every profile, in `game.profiles()` order."""
+    return tuple(compile_profile(game, a, delta) for a in game.profiles())
+
+
+def _cutting_rows(w: PolygonV, system: ProfileSystem, offsets, tol: Tolerances):
     """Indices of the rows that may cut W^k; None when one row empties it.
 
     A row's least and greatest values over W^k are sums of per-block
@@ -221,9 +265,9 @@ def _cutting_rows(w: PolygonV, k: int, normals, offsets, tol: Tolerances):
     here would leave every vertex of W^k strictly inside, and a row
     that empties here would leave none on or inside its plane.
     """
-    n = normals.reshape(len(offsets), k, 2)
-    vals = n @ w.vertices.T  # (rows, k, |W|)
-    size = (np.abs(n) @ np.abs(w.vertices).T).max(axis=2).sum(axis=1) + np.abs(offsets)
+    k = len(system.kept)
+    vals = system.normals.reshape(len(offsets), k, 2) @ w.vertices.T  # (rows, k, |W|)
+    size = (system.abs_blocks @ np.abs(w.vertices).T).max(axis=2).sum(axis=1) + np.abs(offsets)
     margin = tol.eps * np.maximum(1.0, np.abs(offsets)) + _ROUNDING * (k + 1) * size
     if np.any(vals.min(axis=2).sum(axis=1) - offsets > margin):
         return None
@@ -236,17 +280,21 @@ def enforceable_payoffs(
     delta: float,
     w: PolygonV,
     tol: Tolerances = DEFAULT_TOL,
+    system: ProfileSystem | None = None,
 ):
     """P(a): image of the IC-cut continuation polytope, as a polygon.
 
-    The polytope lives over the signals `a` can emit plus those that
-    both players' deviations reach; every other signal block is dropped
-    or folded into the deviation rows' offsets (see
-    `_fold_unreachable_signals`), which leaves P(a) unchanged.
+    `system` is `compile_profile(game, a, delta)`, which `solve` builds
+    once per profile; a call without it compiles its own.  The polytope
+    lives over the signals `a` can emit plus those that both players'
+    deviations reach; every other signal block is dropped or folded into
+    the deviation rows' offsets, which leaves P(a) unchanged.
 
-    Rows are then screened over W^k (`_cutting_rows`): P(a) is empty if
-    one row excludes all of W^k, and a row that cuts nothing is dropped.
-    With no row left, P(a) = (1-delta) u(a) + delta W in closed form.
+    Per call, that is per profile and iterate, only the W-dependent work
+    is done.  The folded offsets are shifted to W, and the rows are
+    screened over W^k (`_cutting_rows`): P(a) is empty if one row
+    excludes all of W^k, and a row that cuts nothing is dropped.  With
+    no row left, P(a) = (1-delta) u(a) + delta W in closed form.
     Otherwise a simplex walk along the polytope's 2-D shadow finds the
     vertices of P(a) (`shadow.shadow_polygon`).
 
@@ -256,20 +304,20 @@ def enforceable_payoffs(
     """
     if w.is_empty:
         return PolygonV.empty(), 0
-    ic = ic_constraints(game, a, delta)
-    if ic.infeasible:
+    if system is None:
+        system = compile_profile(game, a, delta)
+    if system.ic.infeasible:
         return PolygonV.empty(), 0
-    kept, normals, offsets = _fold_unreachable_signals(game, a, ic, w)
-    rows = _cutting_rows(w, len(kept), normals, offsets, tol)
+    offsets = system.offsets(w)
+    rows = _cutting_rows(w, system, offsets, tol)
     if rows is None:
         return PolygonV.empty(), 0
-    M, c = _payoff_map(game, a, delta)
-    cols = (2 * kept[:, None] + np.arange(2)).ravel()
+    k = len(system.kept)
     if len(rows) == 0:
         # Q = W^k, so P(a) = (1-delta) u(a) + delta W: the images of the
         # tuples that repeat one vertex of W
-        return convex_hull(np.tile(w.vertices, len(kept)) @ M[:, cols].T + c, tol), 0
-    return shadow_polygon(w, len(kept), normals[rows], offsets[rows], M[:, cols], c, tol)
+        return convex_hull(np.tile(w.vertices, k) @ system.M.T + system.c, tol), 0
+    return shadow_polygon(w, k, system.normals[rows], offsets[rows], system.M, system.c, tol)
 
 
 def apply_B(
@@ -278,15 +326,21 @@ def apply_B(
     w: PolygonV,
     theta: float = 0.0,
     tol: Tolerances = DEFAULT_TOL,
+    systems: tuple | None = None,
 ) -> BResult:
     """One application of the set operator, with optional simplification.
 
     Per-profile sets are computed and merged in fixed profile order.
+    `systems` holds `compile_profile(game, a, delta)` for each profile in
+    that order; `solve` compiles them once, a call without them compiles
+    its own.
     """
+    if systems is None:
+        systems = compile_profiles(game, delta)
     per_action = {}
     pts = []
-    for a in game.profiles():
-        poly, _ = enforceable_payoffs(game, a, delta, w, tol)
+    for a, system in zip(game.profiles(), systems):
+        poly, _ = enforceable_payoffs(game, a, delta, w, tol, system)
         label = (game.action_labels[0][a[0]], game.action_labels[1][a[1]])
         per_action[label] = poly
         if not poly.is_empty:
@@ -324,11 +378,13 @@ def solve(game: StageGame, config: SolverConfig) -> Report:
             "the individually rational feasible set is already empty",
         )
 
+    # the stage game and delta fix every profile's rows: compile them once
+    systems = compile_profiles(game, config.delta)
     stop_reason = "max_iter"
     message = ""
     for k in range(1, config.max_iter + 1):
         t0 = time.perf_counter()
-        res = apply_B(game, config.delta, w, config.theta, tol)
+        res = apply_B(game, config.delta, w, config.theta, tol, systems)
         wall_ms = (time.perf_counter() - t0) * 1e3
         # boundary simplification trims vertices inward, so a later
         # application of the operator may partially regrow past the

@@ -77,6 +77,9 @@ class PolygonV:
         return PolygonV(np.zeros((0, 2)))
 
 
+# relative rounding bound per term of a dot product, with room to spare
+_ROUNDING = 8 * np.finfo(float).eps
+
 # relative error bound of the floating-point turn test (Shewchuk's
 # ccwerrboundA): beyond it the computed sign is the true one
 _TURN_ERR = 3.3306690738754716e-16
@@ -356,10 +359,20 @@ def rdp_simplify(p: PolygonV, theta: float, tol: Tolerances = DEFAULT_TOL) -> Po
 
 
 def intersect_polygons(p: PolygonV, q: PolygonV, tol: Tolerances = DEFAULT_TOL) -> PolygonV:
-    """Intersection of two convex polygons (q may be degenerate)."""
+    """Intersection of two convex polygons (q may be degenerate).
+
+    p is clipped by q's rows one at a time (`intersect_halfplane`).  When
+    every vertex of p lies within each row's band, with room left for
+    the rounding of its value, every clip would return p, so p itself
+    is returned after one array test.
+    """
     if p.is_empty or q.is_empty:
         return PolygonV.empty()
     normals, offsets = halfspace_rows(q)
+    s = p.vertices @ normals.T - offsets  # (|p|, rows)
+    size = np.abs(p.vertices) @ np.abs(normals).T + np.abs(offsets)
+    if np.all(s + _ROUNDING * size <= tol.eps * np.maximum(1.0, np.abs(offsets))):
+        return p
     out = p
     for n, b in zip(normals, offsets):
         out = intersect_halfplane(out, n, b, tol)

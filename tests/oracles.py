@@ -2,7 +2,9 @@
 
 Nothing in here shares code with the implementation under test: hulls
 come from per-point LPs, polytope vertices from equality-subset
-enumeration, and Hausdorff distances from dense boundary sampling.
+enumeration, and Hausdorff distances from dense boundary sampling.  The
+one exception is `clip_row_by_row`, which checks only the shortcut that
+`intersect_polygons` takes around the same per-row clip.
 """
 
 from __future__ import annotations
@@ -147,3 +149,17 @@ def adjacent_pairs_loop(masks: np.ndarray, min_common: int) -> np.ndarray:
             if int(dominated.sum()) <= 2:
                 out.append((i, j))
     return np.array(out, dtype=np.int64).reshape(-1, 2)
+
+
+def clip_row_by_row(p, q, tol):
+    """p clipped by each of q's halfspace rows in turn, no shortcut."""
+    from ppesolve.geometry import PolygonV, halfspace_rows, intersect_halfplane
+
+    if p.is_empty or q.is_empty:
+        return PolygonV.empty()
+    out = p
+    for n, b in zip(*halfspace_rows(q)):
+        out = intersect_halfplane(out, n, b, tol)
+        if out.is_empty:
+            break
+    return out

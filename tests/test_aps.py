@@ -193,6 +193,48 @@ class TestApplyB:
         assert first.set.vertices.tobytes() == again.set.vertices.tobytes()
 
 
+def byte_equal(p, q):
+    return p.vertices.shape == q.vertices.shape and p.vertices.tobytes() == q.vertices.tobytes()
+
+
+class TestCompiledProfiles:
+    """solve compiles each profile's system once; every iterate then does
+    only the W-dependent work, with the result a fresh call gives."""
+
+    def test_ic_rows_built_once_per_profile(self, cournot_game, monkeypatch):
+        calls = []
+
+        def counting(game, a, delta):
+            calls.append(a)
+            return ic_constraints(game, a, delta)
+
+        monkeypatch.setattr(aps, "ic_constraints", counting)
+        rep = solve(cournot_game, SolverConfig(delta=0.5))
+        assert rep.iterations == 36
+        assert sorted(calls) == sorted(cournot_game.profiles())
+
+    @pytest.mark.parametrize(
+        "game_name, delta, theta, iterations",
+        [("cournot_game", 0.5, 0.0, 36), ("pd_game", 0.9, 0.02, 39)],
+    )
+    def test_compiled_matches_fresh_call(self, request, monkeypatch, game_name, delta, theta, iterations):
+        game = request.getfixturevalue(game_name)
+        original = aps.enforceable_payoffs
+        checked = []
+
+        def comparing(game, a, delta, w, tol, system):
+            got, pivots = original(game, a, delta, w, tol, system)
+            fresh, fresh_pivots = original(game, a, delta, w, tol)
+            assert byte_equal(got, fresh) and pivots == fresh_pivots, f"P{a} at iterate {len(checked)}"
+            checked.append(a)
+            return got, pivots
+
+        monkeypatch.setattr(aps, "enforceable_payoffs", comparing)
+        rep = solve(game, SolverConfig(delta=delta, theta=theta))
+        assert rep.iterations == iterations
+        assert len(checked) == iterations * len(list(game.profiles()))
+
+
 class TestSolverConfig:
     @pytest.mark.parametrize(
         "kwargs",

@@ -18,9 +18,9 @@ from ppesolve.aps import (
     Certificate,
     SolverConfig,
     _cutting_rows,
-    _fold_unreachable_signals,
     _payoff_map,
     apply_B,
+    compile_profile,
     enforceable_payoffs,
     ic_constraints,
     solve,
@@ -175,6 +175,26 @@ class TestFold:
                     assert hausdorff(p, ref) <= tol.eps
         assert compared > 0
 
+    @pytest.mark.parametrize("seed", SPARSE_SEEDS)
+    def test_compiled_system_follows_w(self, seed):
+        """One compiled system serves two W whose lowest payoffs differ,
+        giving byte for byte what a fresh call gives on each."""
+        game, ws = sparse_support_case(seed)
+        tol = Tolerances().scaled(game.payoff_magnitude)
+        w1 = ws[0]
+        w2 = PolygonV(w1.vertices * 0.5 + (0.75, -1.25))
+        for a in game.profiles():
+            if 1 not in fold_kinds(game, a):
+                continue
+            system = compile_profile(game, a, SPARSE_DELTA)
+            assert not np.array_equal(system.offsets(w1), system.offsets(w2))
+            for w in (w1, w2):
+                got, pivots = enforceable_payoffs(game, a, SPARSE_DELTA, w, tol, system)
+                fresh, fresh_pivots = enforceable_payoffs(game, a, SPARSE_DELTA, w, tol)
+                assert got.vertices.shape == fresh.vertices.shape
+                assert got.vertices.tobytes() == fresh.vertices.tobytes()
+                assert pivots == fresh_pivots
+
     @staticmethod
     def blocks_walked(game, delta, monkeypatch):
         # one recorded call per profile: at W0 with delta 0.9 the row
@@ -208,11 +228,11 @@ class TestFold:
 
 def screen_branch(game, a, delta, w, tol):
     """Which way the row screen settles profile `a`, or None if infeasible."""
-    ic = ic_constraints(game, a, delta)
-    if ic.infeasible:
+    system = compile_profile(game, a, delta)
+    if system.ic.infeasible:
         return None
-    kept, normals, offsets = _fold_unreachable_signals(game, a, ic, w)
-    rows = _cutting_rows(w, len(kept), normals, offsets, tol)
+    offsets = system.offsets(w)
+    rows = _cutting_rows(w, system, offsets, tol)
     if rows is None:
         return "empty"
     if len(rows) == 0:
@@ -226,12 +246,12 @@ def assert_matches_unscreened(game, delta, ws, tol):
     for w in ws:
         for a in game.profiles():
             p, _ = enforceable_payoffs(game, a, delta, w, tol)
-            ic = ic_constraints(game, a, delta)
-            if ic.infeasible:
+            system = compile_profile(game, a, delta)
+            if system.ic.infeasible:
                 assert p.is_empty
                 continue
-            kept, normals, offsets = _fold_unreachable_signals(game, a, ic, w)
-            vs, _ = enumerate_product(w, len(kept), normals, offsets, tol)
+            kept = system.kept
+            vs, _ = enumerate_product(w, len(kept), system.normals, system.offsets(w), tol)
             M, c = _payoff_map(game, a, delta)
             cols = (2 * kept[:, None] + np.arange(2)).ravel()
             ref = convex_hull(vs.points @ M[:, cols].T + c, tol)

@@ -19,6 +19,7 @@ from ppesolve.geometry import (
 )
 
 from oracles import (
+    clip_row_by_row,
     hausdorff_sampled,
     hull_vertices_lp,
     match_point_sets,
@@ -305,6 +306,65 @@ class TestClipping:
         b = convex_hull([(1, 1), (3, 1), (3, 3), (1, 3)])
         c = intersect_polygons(a, b)
         assert match_point_sets(c.vertices, [(1, 1), (2, 1), (2, 2), (1, 2)], 1e-9)
+
+
+class TestClipShortcut:
+    """intersect_polygons returns p itself when no row of q cuts it, and
+    otherwise exactly what clipping row by row returns."""
+
+    TOL = Tolerances()
+    # q's right edge is x <= 2, whose band is eps * 2
+    Q = convex_hull([(-1, -1), (2, -1), (2, 2), (-1, 2)])
+    BAND = 2 * TOL.eps
+
+    @staticmethod
+    def square(x_right):
+        return convex_hull([(0, 0), (x_right, 0), (x_right, 1), (0, 1)])
+
+    def assert_same(self, p, q):
+        got = intersect_polygons(p, q, self.TOL)
+        ref = clip_row_by_row(p, q, self.TOL)
+        assert got.vertices.shape == ref.vertices.shape
+        assert got.vertices.tobytes() == ref.vertices.tobytes()
+        return got
+
+    @pytest.mark.parametrize("x_right", [1.0, 2.0, 2.0 + 0.5 * BAND])
+    def test_inside_or_within_band_returns_p(self, x_right):
+        p = self.square(x_right)
+        assert self.assert_same(p, self.Q) is p
+
+    def test_out_by_twice_the_band_is_clipped(self):
+        p = self.square(2.0 + 2 * self.BAND)
+        got = self.assert_same(p, self.Q)
+        assert got is not p
+        assert got.vertices[:, 0].max() == 2.0
+
+    def test_segment_q(self):
+        q = convex_hull([(0, 0), (3, 3)])
+        assert self.assert_same(q, q) is q
+        inner = convex_hull([(1, 1), (2, 2)])
+        assert self.assert_same(inner, q) is inner
+        got = self.assert_same(self.square(2.0), q)
+        assert match_point_sets(got.vertices, [(0, 0), (1, 1)], 1e-12)
+
+    def test_point_q(self):
+        q = PolygonV(np.array([[0.5, 0.5]]))
+        assert self.assert_same(q, q) is q
+        got = self.assert_same(self.square(1.0), q)
+        assert match_point_sets(got.vertices, [(0.5, 0.5)], 1e-12)
+        assert self.assert_same(self.square(0.25), q).is_empty
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_pairs(self, seed):
+        rng = np.random.default_rng(7000 + seed)
+        q = random_hull(rng=rng)
+        # every fourth p is q shrunk about its centre, so nothing cuts it
+        if seed % 4 == 0:
+            c = q.vertices.mean(axis=0)
+            p = convex_hull(c + 0.5 * (q.vertices - c))
+            assert self.assert_same(p, q) is p
+        else:
+            self.assert_same(random_hull(rng=rng), q)
 
 
 SEGMENT_CUTS = [
