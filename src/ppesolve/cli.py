@@ -14,15 +14,6 @@ from .reporting import emit_svg, write_report_json, write_trace_csv
 
 EMIT_CHOICES = ("report_json", "trace_csv", "svg")
 
-# terminal results exit 0; stopping at max_iter exits 2
-_EXIT_BY_REASON = {
-    "area_epsilon": 0,
-    "hausdorff_epsilon": 0,
-    "empty_set": 0,
-    "max_iter": 2,
-}
-
-
 def _load_game(path: str):
     p = Path(path)
     try:
@@ -57,6 +48,10 @@ def _run_one(game, config, out_dir: Path, emits):
     if "svg" in emits:
         emit_svg(report, out_dir / "final.svg")
     return report
+
+
+def _exit_code(report) -> int:
+    return 2 if report.stop_reason == "max_iter" else 0
 
 
 def _summary_line(report) -> str:
@@ -102,7 +97,7 @@ def cmd_solve(game_path, delta, epsilon, theta, max_iter, out, emit):
         raise click.ClickException(str(exc))
     report = _run_one(game, config, Path(out), emits)
     click.echo(_summary_line(report))
-    sys.exit(_EXIT_BY_REASON[report.stop_reason])
+    sys.exit(_exit_code(report))
 
 
 @main.command("sweep")
@@ -147,7 +142,7 @@ def cmd_sweep(game_path, delta_grid, epsilon, theta, max_iter, out, emit):
             f"{report.stop_reason}"
         )
         click.echo(f"delta={token}: {_summary_line(report)}")
-        worst = max(worst, _EXIT_BY_REASON[report.stop_reason])
+        worst = max(worst, _exit_code(report))
     (out_dir / "summary.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
     sys.exit(worst)
 

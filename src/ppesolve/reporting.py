@@ -73,6 +73,18 @@ def write_trace_csv(report: Report, path) -> None:
         f.write("\n".join(lines) + "\n")
 
 
+# SVG attributes by vertex count (3 for any polygon)
+_W0_STYLES = {
+    3: 'fill="none" stroke="#444444" stroke-width="1.5" stroke-dasharray="6,3"',
+    2: 'stroke="#444444" stroke-width="1.5"',
+}
+_FINAL_STYLES = {
+    3: 'fill="#4477aa" fill-opacity="0.45" stroke="#224466" stroke-width="1.5"',
+    2: 'stroke="#224466" stroke-width="2.5"',
+    1: 'r="4" fill="#224466"',
+}
+
+
 def emit_svg(report: Report, path) -> None:
     """Initial set outline with the final set filled on top."""
     if not report.trace:
@@ -91,42 +103,30 @@ def emit_svg(report: Report, path) -> None:
     def to_svg(p):
         x = margin + (p[0] - lo[0]) / (hi[0] - lo[0]) * size
         y = margin + (hi[1] - p[1]) / (hi[1] - lo[1]) * size
-        return f"{x:.6f},{y:.6f}"
+        return f"{x:.6f}", f"{y:.6f}"
 
-    def poly_attr(vertices):
-        return " ".join(to_svg(p) for p in vertices)
+    def shape(vertices, styles):
+        """A polygon, line or circle by vertex count; none without a style."""
+        n = min(len(vertices), 3)
+        if n not in styles:
+            return []
+        xy = [to_svg(p) for p in vertices]
+        if n == 3:
+            tag = f'polygon points="{" ".join(f"{x},{y}" for x, y in xy)}"'
+        elif n == 2:
+            tag = f'line x1="{xy[0][0]}" y1="{xy[0][1]}" x2="{xy[1][0]}" y2="{xy[1][1]}"'
+        else:
+            tag = f'circle cx="{xy[0][0]}" cy="{xy[0][1]}"'
+        return [f"<{tag} {styles[n]}/>"]
 
     total = size + 2 * margin
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{total:.0f}" '
         f'height="{total:.0f}" viewBox="0 0 {total:.0f} {total:.0f}">',
         f'<rect width="{total:.0f}" height="{total:.0f}" fill="white"/>',
+        *shape(w0, _W0_STYLES),
+        *shape(final, _FINAL_STYLES),
     ]
-    if len(w0) >= 3:
-        parts.append(
-            f'<polygon points="{poly_attr(w0)}" fill="none" stroke="#444444" '
-            'stroke-width="1.5" stroke-dasharray="6,3"/>'
-        )
-    elif len(w0) == 2:
-        a, b = to_svg(w0[0]).split(","), to_svg(w0[1]).split(",")
-        parts.append(
-            f'<line x1="{a[0]}" y1="{a[1]}" x2="{b[0]}" y2="{b[1]}" '
-            'stroke="#444444" stroke-width="1.5"/>'
-        )
-    if len(final) >= 3:
-        parts.append(
-            f'<polygon points="{poly_attr(final)}" fill="#4477aa" '
-            'fill-opacity="0.45" stroke="#224466" stroke-width="1.5"/>'
-        )
-    elif len(final) == 2:
-        a, b = to_svg(final[0]).split(","), to_svg(final[1]).split(",")
-        parts.append(
-            f'<line x1="{a[0]}" y1="{a[1]}" x2="{b[0]}" y2="{b[1]}" '
-            'stroke="#224466" stroke-width="2.5"/>'
-        )
-    elif len(final) == 1:
-        cx, cy = to_svg(final[0]).split(",")
-        parts.append(f'<circle cx="{cx}" cy="{cy}" r="4" fill="#224466"/>')
     parts.append(
         f'<text x="{margin + size / 2:.0f}" y="{total - 12:.0f}" '
         'font-family="sans-serif" font-size="14" text-anchor="middle">'

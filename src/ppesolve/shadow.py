@@ -61,14 +61,16 @@ def _start_rows(w: PolygonV, normals2: np.ndarray, d: np.ndarray) -> tuple:
 
 
 def shadow_polygon(w: PolygonV, k: int, normals, offsets, M, c, tol: Tolerances):
-    """The image under x -> M x + c of W^k cut by normals.x <= offsets.
+    """The image under x -> M x + c of W^k cut by normals.x <= offsets,
+    for M whose block y is rho_y >= 0 times the 2x2 identity (the payoff
+    map's form; for any other M the start is not optimal).
 
     Starts at the vertex of W^k that maximises a fixed direction, block
     by block, and restores the cut rows with dual-simplex pivots; when
     a violated row finds no row to leave, the polytope is empty.  Then
-    it turns the direction once around the circle.  Bland's rule settles ties, and a basic row whose
-    multiplier is zero for every direction never leaves.  Returns
-    (PolygonV, pivots).
+    it turns the direction once around the circle.  Bland's rule settles
+    ties, and a basic row whose multiplier is zero for every direction
+    never leaves.  Returns (PolygonV, pivots).
     """
     prod = product_polytope(w, k)
     m = prod.num_rows // k

@@ -1,8 +1,9 @@
 """Vertices of a product polytope W^k cut by extra rows.
 
 The solve path uses only `product_polytope` from this module: P(a)
-comes from the shadow walk (`shadow`).  The enumerator stays as the
-oracle that tests hold the walk against.
+comes from the shadow walk (`shadow`).  The enumerator is used only by
+its own tests (`tests/test_vertex_enum.py`) and by the benchmark's
+probe on `aps.enumerate_product`.
 
 W is a 2-D polygon, so W^k (one copy per signal block) has the tuples of
 W's vertices as its vertices and is seeded from them directly, each
@@ -18,10 +19,9 @@ active-set test (`_kernels.adjacent_pairs`), except after the last cut,
 when no edge is read.  A vertex's active rows are the ones this
 bookkeeping carries: the seed's come from W's vertices, each cut sets
 its row on the vertices within its on-plane band and on its new
-vertices, and no coordinate re-check follows.  When the seed or a cut
-exceeds the vertex cap, the result is empty and marked truncated.
-Everything is deterministic: rows are inserted in a fixed heuristic
-order and results are returned in lexicographic vertex order.
+vertices, and no coordinate re-check follows.  Everything is
+deterministic: rows are inserted in a fixed heuristic order and
+results are returned in lexicographic vertex order.
 """
 
 from __future__ import annotations
@@ -32,8 +32,6 @@ import numpy as np
 
 from . import _kernels
 from .geometry import PolygonV, Tolerances, DEFAULT_TOL, halfspace_rows
-
-DEFAULT_VERTEX_CAP = 200_000
 
 
 @dataclass(frozen=True)
@@ -61,12 +59,10 @@ class HPolytope:
 
 @dataclass(frozen=True)
 class VertexSet:
-    """Enumerated vertices with their active rows; a truncated set is
-    empty, because the enumeration stopped at the vertex cap."""
+    """Enumerated vertices with their active rows."""
 
     points: np.ndarray  # (n, dim)
     active: np.ndarray  # (n, rows) bool: row r is tight at point k
-    truncated: bool = False
 
     @property
     def num_points(self) -> int:
@@ -77,8 +73,8 @@ class VertexSet:
         return self.num_points == 0
 
 
-def _empty_vertex_set(dim: int, truncated: bool = False) -> VertexSet:
-    return VertexSet(np.zeros((0, dim)), np.zeros((0, 0), dtype=bool), truncated)
+def _empty_vertex_set(dim: int) -> VertexSet:
+    return VertexSet(np.zeros((0, dim)), np.zeros((0, 0), dtype=bool))
 
 
 def _sorted_unique_edges(edges: np.ndarray) -> np.ndarray:
@@ -215,7 +211,6 @@ def enumerate_product(
     extra_normals: np.ndarray,
     extra_offsets: np.ndarray,
     tol: Tolerances = DEFAULT_TOL,
-    cap: int = DEFAULT_VERTEX_CAP,
 ):
     """Vertices of (W^num_signals intersected with extra rows).
 
@@ -226,8 +221,7 @@ def enumerate_product(
     incremental insertion.  The active matrix is the double
     description's own: the product rows' columns come from the seed
     tuples, each extra row's from its cut.  It is not recomputed from
-    the coordinates.  If the seed or a cut has more than `cap` vertices,
-    the VertexSet is empty and truncated.
+    the coordinates.
     """
     active2, succ = _polygon_seed(w)
     v2 = w.vertices
@@ -242,9 +236,6 @@ def enumerate_product(
         np.vstack([prod.normals, extra_normals]),
         np.concatenate([prod.offsets, extra_offsets]),
     )
-    if mv**S > cap:
-        return _empty_vertex_set(dim, truncated=True), stacked
-
     digits = np.stack(
         np.meshgrid(*([np.arange(mv)] * S), indexing="ij"), axis=-1
     ).reshape(-1, S)
@@ -280,7 +271,5 @@ def enumerate_product(
         if cut is None:
             return _empty_vertex_set(dim), stacked
         pts, masks, edges = cut
-        if len(pts) > cap:
-            return _empty_vertex_set(dim, truncated=True), stacked
     order = np.lexsort(pts.T[::-1])
     return VertexSet(pts[order], masks[order]), stacked

@@ -12,7 +12,7 @@ line differs from EXPECTED and exits 1; a change that means to move an
 iterate updates EXPECTED in the same commit.  The five runs take about
 9 s together on a 2-CPU machine, 8 s of it in the exact PD run (44
 applications, with iterates of up to 1,234 vertices).  The file is not
-collected by pytest.
+collected by pytest; `tests/test_aps.py` checks the four fast runs.
 """
 
 from __future__ import annotations
@@ -58,12 +58,17 @@ def iterate_hash(report) -> str:
     return h.hexdigest()
 
 
+def run_line(game_file, delta, theta, max_iter) -> str:
+    """One run's line: iteration count, stop reason and iterate hash."""
+    game = parse_game((GAMES / game_file).read_text(encoding="utf-8"))
+    report = solve(game, SolverConfig(delta=delta, theta=theta, max_iter=max_iter))
+    return f"{report.iterations} iterations, {report.stop_reason}, {iterate_hash(report)}"
+
+
 def main() -> int:
     differ = []
-    for name, game_file, delta, theta, max_iter in RUNS:
-        game = parse_game((GAMES / game_file).read_text(encoding="utf-8"))
-        report = solve(game, SolverConfig(delta=delta, theta=theta, max_iter=max_iter))
-        line = f"{report.iterations} iterations, {report.stop_reason}, {iterate_hash(report)}"
+    for name, *run in RUNS:
+        line = run_line(*run)
         print(f"{name}: {line}", flush=True)
         if line != EXPECTED[name]:
             differ.append(name)

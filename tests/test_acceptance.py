@@ -21,6 +21,7 @@ from ppesolve.game import (
     pure_nash,
 )
 from ppesolve.geometry import (
+    Tolerances,
     area,
     contains_point,
     contains_polygon,
@@ -28,7 +29,8 @@ from ppesolve.geometry import (
     halfspace_rows,
     intersect_polygons,
 )
-from ppesolve.vertex_enum import enumerate_product
+from ppesolve.shadow import shadow_polygon
+from ppesolve.vertex_enum import product_polytope
 
 from oracles import match_point_sets, polytope_vertices_bruteforce
 
@@ -163,9 +165,15 @@ def test_criterion_06_myopic_oracle(capsys):
 
 
 def test_criterion_07_vertex_enum_oracle(capsys):
-    """W^k cut by random rows, for k in 1..3 and W a polygon, a segment
-    or a point: each row misses W^k, cuts it, or excludes all of it."""
+    """The shadow walk's image of W^k cut by random rows, for k in 1..3
+    and W a polygon, a segment or a point, against the hull of the image
+    of the brute-force vertices: each row misses W^k, cuts it, or
+    excludes all of it.  The map has the payoff map's form, block y
+    being rho_y >= 0 times the identity."""
     rng = np.random.default_rng(20240822)
+    # the maps come from their own stream, so the systems stay those of rng
+    maps = np.random.default_rng(20240823)
+    tol = Tolerances()
     failures = []
     seen = set()
     for trial in range(200):
@@ -190,17 +198,22 @@ def test_criterion_07_vertex_enum_oracle(capsys):
                 "empty": lo[r] - rng.uniform(0.05, 0.5),
             }[kind]
             seen.add(kind)
-        vs, stacked = enumerate_product(w, k, normals, offsets)
-        want = polytope_vertices_bruteforce(stacked.normals, stacked.offsets)
+        M, c = np.kron(maps.dirichlet(np.ones(k)), np.eye(2)), maps.normal(size=2)
+        got, _ = shadow_polygon(w, k, normals, offsets, M, c, tol)
+        prod = product_polytope(w, k)
+        want = polytope_vertices_bruteforce(
+            np.vstack([prod.normals, normals]), np.concatenate([prod.offsets, offsets])
+        )
         seen.add((shape, k, "empty" if len(want) == 0 else "nonempty"))
-        if vs.truncated or not match_point_sets(vs.points, want, 1e-7):
-            failures.append(f"trial {trial}: {len(vs.points)} vs oracle {len(want)}")
+        ref = convex_hull(want @ M.T + c, tol)
+        if not match_point_sets(got.vertices, ref.vertices, 1e-7):
+            failures.append(f"trial {trial}: {got.num_vertices} vs oracle {ref.num_vertices}")
     missing = {"miss", "cut", "empty"} - seen
     missing |= {(s, k, "nonempty") for s in ("polygon", "segment", "point") for k in (1, 2, 3)} - seen
     missing |= {("polygon", k, "empty") for k in (1, 2, 3)} - seen
     announce(
         capsys,
-        "criterion 07: enumeration matches brute-force oracle (200 systems)",
+        "criterion 07: shadow walk matches brute-force oracle (200 systems)",
         [(not failures, "; ".join(failures[:3])), (not missing, f"cases not drawn: {sorted(map(str, missing))}")],
     )
 

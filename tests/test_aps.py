@@ -15,10 +15,13 @@ from ppesolve.aps import (
 from ppesolve.game import StageGame, individually_rational_set, pure_nash
 from ppesolve.geometry import area, contains_point, contains_polygon, convex_hull
 
+from iterate_hashes import EXPECTED, RUNS, run_line
 from oracles import match_point_sets
 
 CC, CD, DC, DD = (0, 0), (0, 1), (1, 0), (1, 1)
 STOP_REASONS = {"area_epsilon", "hausdorff_epsilon", "max_iter", "empty_set"}
+# the pinned runs but the exact PD one, which takes about 8 s
+FAST_RUNS = [run for run in RUNS if run[0] != "pd delta=0.9 theta=0"]
 
 
 @pytest.fixture(scope="module")
@@ -296,6 +299,11 @@ class TestSolve:
         assert rep.stop_reason == "max_iter" and not rep.converged
         assert rep.iterations == 13
         assert np.array_equal(rep.final_set.vertices, rep.trace[-1].vertices)
+
+    @pytest.mark.parametrize("run", FAST_RUNS, ids=[run[0] for run in FAST_RUNS])
+    def test_iterates_match_pinned_hashes(self, run):
+        name, *args = run
+        assert run_line(*args) == EXPECTED[name]
 
     def test_exact_cournot_known_answer(self, cournot_game):
         # the same answer the vertex enumerator gave in about a minute

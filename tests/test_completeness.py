@@ -29,7 +29,7 @@ from ppesolve.aps import (
 from ppesolve.game import StageGame, individually_rational_set
 from ppesolve.geometry import PolygonV, Tolerances, area, contains_point, convex_hull, hausdorff
 from ppesolve.shadow import shadow_polygon
-from ppesolve.vertex_enum import enumerate_product, product_polytope
+from ppesolve.vertex_enum import product_polytope
 
 ANGLES = 2 * np.pi * (np.arange(32) + 0.25) / 32
 DIRECTIONS = np.column_stack([np.cos(ANGLES), np.sin(ANGLES)])
@@ -166,9 +166,8 @@ class TestFold:
                 if ic.infeasible:
                     assert p.is_empty
                     continue
-                vs, _ = enumerate_product(w, game.num_signals, ic.normals, ic.offsets, tol)
                 M, c = _payoff_map(game, a, SPARSE_DELTA)
-                ref = convex_hull(vs.points @ M.T + c, tol)
+                ref, _ = shadow_polygon(w, game.num_signals, ic.normals, ic.offsets, M, c, tol)
                 assert p.is_empty == ref.is_empty
                 if not ref.is_empty:
                     compared += 1
@@ -241,8 +240,8 @@ def screen_branch(game, a, delta, w, tol):
 
 
 def assert_matches_unscreened(game, delta, ws, tol):
-    """P(a) equals the hull of the image of the folded, unscreened
-    enumeration, on every profile and every W in ws."""
+    """P(a) equals the walk on the folded, unscreened rows, on every
+    profile and every W in ws."""
     for w in ws:
         for a in game.profiles():
             p, _ = enforceable_payoffs(game, a, delta, w, tol)
@@ -251,11 +250,10 @@ def assert_matches_unscreened(game, delta, ws, tol):
                 assert p.is_empty
                 continue
             kept = system.kept
-            vs, _ = enumerate_product(w, len(kept), system.normals, system.offsets(w), tol)
             M, c = _payoff_map(game, a, delta)
             cols = (2 * kept[:, None] + np.arange(2)).ravel()
-            ref = convex_hull(vs.points @ M[:, cols].T + c, tol)
-            assert p.is_empty == ref.is_empty, f"P{a}: screen and enumeration disagree"
+            ref, _ = shadow_polygon(w, len(kept), system.normals, system.offsets(w), M[:, cols], c, tol)
+            assert p.is_empty == ref.is_empty, f"P{a}: screen and unscreened walk disagree"
             if not ref.is_empty:
                 assert hausdorff(p, ref) <= 2 * tol.eps, f"P{a} moved"
 

@@ -102,7 +102,6 @@ class TestEnumerateVertices:
         assert match_point_sets(
             vs.points, np.array(np.meshgrid(*[[-1, 1]] * 4)).reshape(4, -1).T, 1e-9
         )
-        assert not vs.truncated
 
     def test_simplex_4d(self):
         # [0,1]^4 cut by sum(x) <= 1 is the corner simplex
@@ -114,7 +113,7 @@ class TestEnumerateVertices:
     def test_empty_system(self):
         # x1 <= -2 misses [-1, 1]^2 entirely
         vs, _ = enumerate_product(SQUARE, 1, np.array([[1.0, 0.0]]), np.array([-2.0]))
-        assert vs.is_empty and not vs.truncated
+        assert vs.is_empty
 
     def test_output_is_lexicographically_sorted(self):
         vs, _ = enumerate_product(SQUARE, 2, np.array([[1.0, 1.0, 1.0, 0.0]]), np.array([0.5]))
@@ -212,13 +211,6 @@ class TestEnumerateVertices:
         images = convex_hull(vs.points @ M.T + c)
         assert hausdorff(images, convex_hull(exact @ M.T + c)) <= 2 * TOL.eps
 
-    def test_vertex_cap_marks_truncated(self):
-        # 16 seed tuples, and the cut adds vertices past the cap of 17
-        vs, _ = enumerate_product(SQUARE, 2, np.array([[1.0, 1.0, 1.0, 1.0]]), np.array([1.0]), cap=17)
-        assert vs.truncated and vs.is_empty
-        vs, _ = enumerate_product(SQUARE, 2, np.array([[1.0, 1.0, 1.0, 1.0]]), np.array([1.0]))
-        assert not vs.truncated and len(vs.points) > 17
-
 
 class TestProductPolytope:
     def test_square_two_signals(self):
@@ -276,12 +268,6 @@ class TestEnumerateProduct:
         extra_b = np.array([-5.0])
         vs, _ = enumerate_product(sq, 2, extra_n, extra_b)
         assert vs.is_empty
-
-    def test_cap_truncates_large_product(self):
-        sq = convex_hull([(0, 0), (1, 0), (1, 1), (0, 1)])
-        vs, _ = enumerate_product(sq, 4, np.zeros((0, 8)), np.zeros(0), cap=100)
-        assert vs.truncated
-        assert vs.is_empty  # no uncut prefix of the 256 seed tuples
 
 
 class TestAffineImage:
