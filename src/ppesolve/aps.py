@@ -15,12 +15,15 @@ W^k are sums of per-block extremes over W's vertices, so a row that
 cannot cut is dropped, and a row that excludes all of W^k empties the
 profile, before any simplex pivot.  The payoff set of a profile is the
 image of the continuation polytope over the kept signals, cut by the
-remaining rows, under the discounted-average map; a simplex walk along
-the polytope's 2-D shadow finds its vertices (`shadow`), and the
-per-profile payoff sets are hulled together.  Iterating that operator
-from the individually rational feasible set and stopping on an
-area-difference threshold yields an outer bound on the equilibrium
-payoff set.
+remaining rows, under the discounted-average map.  When every remaining
+row holds on the diagonal of W^k, as for a stage-Nash profile, that
+image is (1-delta) u(a) + delta W; otherwise a simplex walk along the
+polytope's 2-D shadow finds its vertices (`shadow`).  The per-profile
+payoff sets are hulled together.  Iterating that operator from the
+individually rational feasible set and stopping on an area-difference
+threshold yields an outer bound on the equilibrium payoff set; a
+profile whose payoff set comes back empty is not computed again, since
+the operator is monotone and each iterate lies in the last.
 """
 
 from __future__ import annotations
@@ -293,10 +296,18 @@ def enforceable_payoffs(
     Per call, that is per profile and iterate, only the W-dependent work
     is done.  The folded offsets are shifted to W, and the rows are
     screened over W^k (`_cutting_rows`): P(a) is empty if one row
-    excludes all of W^k, and a row that cuts nothing is dropped.  With
-    no row left, P(a) = (1-delta) u(a) + delta W in closed form.
-    Otherwise a simplex walk along the polytope's 2-D shadow finds the
-    vertices of P(a) (`shadow.shadow_polygon`).
+    excludes all of W^k, and a row that cuts nothing is dropped.
+
+    When every row left holds, within the walk's on-plane band, at the
+    k-fold repeats of W's vertices, P(a) = (1-delta) u(a) + delta W with
+    no pivot.  Every signal `a` emits is kept, so M x + c is c plus
+    delta times a convex combination of x's blocks, and P(a) lies in
+    c + delta W.  The repeats span the diagonal {(x, ..., x) : x in W}
+    of W^k, so the rows hold on all of it, and its image is c + delta W.
+    An empty row set holds vacuously, and a stage-Nash profile's rows
+    hold because a constant continuation enforces it.  Otherwise a
+    simplex walk along the polytope's 2-D shadow finds the vertices of
+    P(a) (`shadow.shadow_polygon`).
 
     Returns (PolygonV, pivots): an empty polygon means `a` is not
     enforceable against W; pivots counts the walk's simplex pivots, 0
@@ -313,11 +324,13 @@ def enforceable_payoffs(
     if rows is None:
         return PolygonV.empty(), 0
     k = len(system.kept)
-    if len(rows) == 0:
-        # Q = W^k, so P(a) = (1-delta) u(a) + delta W: the images of the
-        # tuples that repeat one vertex of W
-        return convex_hull(np.tile(w.vertices, k) @ system.M.T + system.c, tol), 0
-    return shadow_polygon(w, k, system.normals[rows], offsets[rows], system.M, system.c, tol)
+    normals, offsets = system.normals[rows], offsets[rows]
+    # the diagonal of W^k: the tuples that repeat one vertex of W
+    diag = np.tile(w.vertices, k)
+    if np.all(diag @ normals.T - offsets <= tol.eps * np.maximum(1.0, np.abs(offsets))):
+        # every row holds on the diagonal, so P(a) = (1-delta) u(a) + delta W
+        return convex_hull(diag @ system.M.T + system.c, tol), 0
+    return shadow_polygon(w, k, normals, offsets, system.M, system.c, tol)
 
 
 def apply_B(
@@ -333,14 +346,19 @@ def apply_B(
     Per-profile sets are computed and merged in fixed profile order.
     `systems` holds `compile_profile(game, a, delta)` for each profile in
     that order; `solve` compiles them once, a call without them compiles
-    its own.
+    its own.  A None in a profile's slot gives it the empty set without
+    computing it: `solve` passes None for each profile whose set was
+    empty at an earlier iterate.
     """
     if systems is None:
         systems = compile_profiles(game, delta)
     per_action = {}
     pts = []
     for a, system in zip(game.profiles(), systems):
-        poly, _ = enforceable_payoffs(game, a, delta, w, tol, system)
+        if system is None:
+            poly = PolygonV.empty()
+        else:
+            poly, _ = enforceable_payoffs(game, a, delta, w, tol, system)
         label = (game.action_labels[0][a[0]], game.action_labels[1][a[1]])
         per_action[label] = poly
         if not poly.is_empty:
@@ -393,6 +411,9 @@ def solve(game: StageGame, config: SolverConfig) -> Report:
         a_prev, a_new = area(w), area(new)
         hd = hausdorff(w, new) if not new.is_empty else float("nan")
         enforceable = {lab: not p.is_empty for lab, p in res.per_action.items()}
+        # B_a is monotone and each iterate lies in the last, so a profile
+        # whose P(a) is empty stays so: it is not computed again
+        systems = tuple(s if ok else None for s, ok in zip(systems, enforceable.values()))
         trace.append(
             IterationTrace(
                 k, new.vertices, a_new, a_prev - a_new, hd, enforceable, wall_ms

@@ -36,6 +36,10 @@ class StageGame:
     signal_probs: np.ndarray  # (n1, n2, S)
 
     def __post_init__(self):
+        # results are keyed by profile label, one per profile
+        for i, labels in enumerate(self.action_labels):
+            if len(set(labels)) != len(labels):
+                raise ValueError(f"duplicate player {i + 1} action labels: {labels}")
         u = np.asarray(self.payoffs, dtype=float)
         rho = np.asarray(self.signal_probs, dtype=float)
         u.setflags(write=False)

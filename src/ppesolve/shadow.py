@@ -63,7 +63,8 @@ def _start_rows(w: PolygonV, normals2: np.ndarray, d: np.ndarray) -> tuple:
 def shadow_polygon(w: PolygonV, k: int, normals, offsets, M, c, tol: Tolerances):
     """The image under x -> M x + c of W^k cut by normals.x <= offsets,
     for M whose block y is rho_y >= 0 times the 2x2 identity (the payoff
-    map's form; for any other M the start is not optimal).
+    map's form); any other M raises ValueError, since the start below
+    is optimal only for that form.
 
     Starts at the vertex of W^k that maximises a fixed direction, block
     by block, and restores the cut rows with dual-simplex pivots; when
@@ -72,6 +73,12 @@ def shadow_polygon(w: PolygonV, k: int, normals, offsets, M, c, tol: Tolerances)
     ties, and a basic row whose multiplier is zero for every direction
     never leaves.  Returns (PolygonV, pivots).
     """
+    M = np.asarray(M, dtype=float)
+    block_form = np.zeros((2, 2 * k))
+    if M.shape == block_form.shape:
+        block_form[0, ::2] = block_form[1, 1::2] = M[0, ::2]
+    if not np.array_equal(M, block_form) or (block_form < 0).any():
+        raise ValueError("shadow walk: block y of M must be rho_y >= 0 times the identity")
     prod = product_polytope(w, k)
     m = prod.num_rows // k
     n = 2 * k

@@ -10,7 +10,7 @@ in order from k = 0.  Two trees that print the same lines produced
 bit-identical iterates.  After printing, the script names each run whose
 line differs from EXPECTED and exits 1; a change that means to move an
 iterate updates EXPECTED in the same commit.  The five runs take about
-9 s together on a 2-CPU machine, 8 s of it in the exact PD run (44
+6.5 s together on a 2-CPU machine, 6 s of it in the exact PD run (44
 applications, with iterates of up to 1,234 vertices).  The file is not
 collected by pytest; `tests/test_aps.py` checks the four fast runs.
 """
@@ -39,15 +39,15 @@ RUNS = [
 
 EXPECTED = {
     "pd delta=0.9 theta=0.02": "39 iterations, area_epsilon, "
-    "64e566cbc41cd1727f578b1a4a690e98c5b97b249b78656939ed0ab927e14c8e",
+    "2194d8833145caf9e58afe573198bc0defdfd07c531a68ff09dd17b1a4c07d1e",
     "cournot delta=0.5 theta=0": "36 iterations, hausdorff_epsilon, "
-    "802430620d8d9f0173e9117e0d7e61c772389ce08842aa8fd730e394611ec0b5",
+    "5cd6c14c67e9c0a7f4811efc693b1080dc9faf2cbd515195c014a33e02441b6e",
     "cournot-patient delta=0.9 theta=0.05": "3 iterations, max_iter, "
     "8693729fff2af35d1f39d4e218801373d8b69912d0eec7a96280975aec6b3e0f",
     "pd delta=0.5 theta=0": "22 iterations, hausdorff_epsilon, "
     "79f35932500d0fd460d2d6194fa7117773c3abcf396ee97db3c0bfc0210ac316",
     "pd delta=0.9 theta=0": "44 iterations, area_epsilon, "
-    "c97fee9d550e729a426a2ba5887f38dbe1c564fe1170f6f02824dfaaff0da318",
+    "64d8347735098660dc80db866213f36fe11ca356072c890e750bec7c318e74ca",
 }
 
 

@@ -13,14 +13,15 @@ from ppesolve.aps import (
     verify_enforceability,
 )
 from ppesolve.game import StageGame, individually_rational_set, pure_nash
-from ppesolve.geometry import area, contains_point, contains_polygon, convex_hull
+from ppesolve.geometry import PolygonV, Tolerances, area, contains_point, contains_polygon, convex_hull, hausdorff
 
 from iterate_hashes import EXPECTED, RUNS, run_line
 from oracles import match_point_sets
+from test_shadow import reference
 
 CC, CD, DC, DD = (0, 0), (0, 1), (1, 0), (1, 1)
 STOP_REASONS = {"area_epsilon", "hausdorff_epsilon", "max_iter", "empty_set"}
-# the pinned runs but the exact PD one, which takes about 8 s
+# the pinned runs but the exact PD one, which takes about 6 s
 FAST_RUNS = [run for run in RUNS if run[0] != "pd delta=0.9 theta=0"]
 
 
@@ -235,7 +236,12 @@ class TestCompiledProfiles:
         monkeypatch.setattr(aps, "enforceable_payoffs", comparing)
         rep = solve(game, SolverConfig(delta=delta, theta=theta))
         assert rep.iterations == iterations
-        assert len(checked) == iterations * len(list(game.profiles()))
+        # a profile is computed up to and including its first empty P(a)
+        calls = sum(
+            next((k for k, t in enumerate(rep.trace[1:], 1) if not t.enforceable[label]), iterations)
+            for label in rep.trace[1].enforceable
+        )
+        assert len(checked) == calls == {"cournot_game": 101, "pd_game": 156}[game_name]
 
 
 class TestSolverConfig:
@@ -351,3 +357,189 @@ class TestSolve:
                 for t in rep.trace:
                     w = convex_hull(t.vertices)
                     assert all(contains_point(w, v, 1e-7 * scale) for v in nash)
+
+
+def nash_games():
+    """The first 8 games of a seeded stream of small random games that
+    have a pure stage Nash profile and a nonempty W0."""
+    rng = np.random.default_rng(1800)
+    games = []
+    while len(games) < 8:
+        game = random_small_game(rng)
+        if pure_nash(game) and not individually_rational_set(game).individually_rational.is_empty:
+            games.append(game)
+    return games
+
+
+def hand_built_system(normals, offsets, M, c):
+    """A compiled profile over k kept blocks with the given rows and map."""
+    r, k = len(offsets), normals.shape[1] // 2
+    ic = aps.ICSystem((0, 0), normals, offsets, tuple((0, j) for j in range(r)))
+    return aps.ProfileSystem(
+        ic, np.arange(k), normals, np.abs(normals).reshape(r, k, 2), np.zeros((r, 0, 2)), np.ones(r), M, c
+    )
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """The calls that reach the shadow walk, recorded."""
+    seen = []
+    original = aps.shadow_polygon
+
+    def recording(*args):
+        seen.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(aps, "shadow_polygon", recording)
+    return seen
+
+
+class TestDiagonalClosedForm:
+    """When every row holds on the diagonal of W^k, the tuples that
+    repeat one point of W, P(a) = (1-delta) u(a) + delta W with no pivot."""
+
+    @staticmethod
+    def assert_nash_profiles_settle(game, delta, theta, max_iter=200):
+        """On every iterate, each stage-Nash profile's P(a) is
+        (1-delta) u(a) + delta W, without a pivot.
+
+        A constant continuation enforces a stage-Nash profile, so its
+        rows hold on the diagonal.  A folded signal's block sits at the
+        deviator's lowest payoff in W, which satisfies each folded row at
+        least as well as the diagonal's point, so those rows hold too.
+        Returns the (profile, iterate) pairs checked, by whether a
+        signal folds."""
+        rep = solve(game, SolverConfig(delta=delta, theta=theta, max_iter=max_iter))
+        tol = rep.tolerances
+        checked = {True: 0, False: 0}
+        for a in pure_nash(game):
+            system = aps.compile_profile(game, a, delta)
+            folds = len(system.kept) < game.num_signals
+            for k, t in enumerate(rep.trace):
+                w = PolygonV(t.vertices)
+                if w.is_empty:
+                    continue
+                p, pivots = enforceable_payoffs(game, a, delta, w, tol, system)
+                want = convex_hull((1 - delta) * game.payoffs[a] + delta * w.vertices, tol)
+                assert hausdorff(p, want) <= tol.eps, f"P{a} at iterate {k}"
+                assert pivots == 0, f"P{a} walked at iterate {k}"
+                checked[folds] += 1
+        return checked
+
+    def test_criterion_03_pd(self, pd_game):
+        assert self.assert_nash_profiles_settle(pd_game, 0.9, 0.02) == {True: 0, False: 40}
+
+    def test_criterion_04_cournot(self, cournot_game):
+        checked = self.assert_nash_profiles_settle(cournot_game, 0.9, 0.05)
+        assert checked[True] == 0 and checked[False] > 13
+
+    def test_random_games(self):
+        checked = [self.assert_nash_profiles_settle(g, 0.8, 0.0, max_iter=10) for g in nash_games()]
+        assert all(sum(c[folds] for c in checked) > 0 for folds in (True, False))
+
+    @staticmethod
+    def diagonal_case(rng, eps):
+        """W, k, and rows that cut W^k but hold on its diagonal: some
+        with slack, one missing the diagonal by half the on-plane band."""
+        k = int(rng.integers(2, 4))
+        w = convex_hull(rng.uniform(-1.0, 1.0, size=(int(rng.integers(3, 10 - 2 * k)), 2)))
+        diag = np.tile(w.vertices, k)
+        normals, offsets, rows = [], [], int(rng.integers(1, 4))
+        while len(offsets) < rows:
+            n = rng.normal(size=2 * k)
+            n /= np.linalg.norm(n)
+            top = (diag @ n).max()
+            hi = (n.reshape(k, 2) @ w.vertices.T).max(axis=1).sum()
+            if hi - top < 0.05:
+                continue  # too thin to cut W^k off the diagonal
+            if offsets:
+                b = top + rng.uniform(0.0, 0.8) * (hi - top)
+            else:
+                b = top - 0.5 * eps * max(1.0, abs(top))
+            normals.append(n)
+            offsets.append(b)
+        return w, k, np.array(normals), np.array(offsets)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_rows_holding_on_the_diagonal(self, seed, walks):
+        rng = np.random.default_rng(1810 + seed)
+        tol = Tolerances()
+        for trial in range(15):
+            w, k, normals, offsets = self.diagonal_case(rng, tol.eps)
+            rho = rng.dirichlet(np.ones(k)) * (rng.random(k) > 0.3)
+            if rho.sum() == 0:
+                rho[0] = 1.0
+            M, c = 0.8 * np.kron(rho / rho.sum(), np.eye(2)), rng.normal(size=2)
+            system = hand_built_system(normals, offsets, M, c)
+            assert len(aps._cutting_rows(w, system, offsets, tol)) == len(offsets)  # every row cuts W^k
+            p, pivots = enforceable_payoffs(None, None, None, w, tol, system)
+            assert pivots == 0 and not walks, f"trial {trial}: walked"
+            image = convex_hull(w.vertices * 0.8 + c)
+            assert match_point_sets(p.vertices, image.vertices, 1e-12), f"trial {trial}"
+            # a row held only within the band leaves the oracle, whose own
+            # tolerance is wider, points on the edges of P(a)
+            assert hausdorff(p, reference(w, k, normals, offsets, M, c)) <= 1e-7, f"trial {trial}"
+
+            # one more row, cutting off a single diagonal vertex other
+            # than W's first by twice the band: the walk must run
+            while True:
+                n = rng.normal(size=2 * k)
+                n /= np.linalg.norm(n)
+                dv = np.tile(w.vertices, k) @ n
+                j = int(np.argmax(dv))
+                if j > 0 and np.sort(dv)[-2] < dv[j] - 0.01:
+                    break
+            b = dv[j] - 2 * tol.eps * max(1.0, abs(dv[j])) * (1 + 1e-6)
+            normals2, offsets2 = np.vstack([normals, n]), np.append(offsets, b)
+            p, pivots = enforceable_payoffs(None, None, None, w, tol, hand_built_system(normals2, offsets2, M, c))
+            assert len(walks) == 1 and pivots > 0, f"trial {trial}: the cut diagonal vertex was not walked"
+            walks.clear()
+            # P(a) lies in c + delta W; the walk's band lets its vertices
+            # stray past W's rows by about eps
+            assert not p.is_empty and contains_polygon(image, p, 1e-7), f"trial {trial}, extra row"
+
+
+class TestMonotoneSkip:
+    """Once P(a) is empty, solve does not compute it again, and each
+    iterate is byte for byte what a fresh application gives."""
+
+    @pytest.mark.parametrize(
+        "game_name, delta, theta, max_iter, skipped",
+        [("pd_game", 0.9, 0.02, 200, 0), ("cournot_game", 0.5, 0.0, 200, 223), ("cournot_game", 0.9, 0.05, 3, 0)],
+        ids=["pd theta=0.02", "cournot-collapse", "cournot-patient"],
+    )
+    def test_skip_matches_fresh_application(self, request, monkeypatch, game_name, delta, theta, max_iter, skipped):
+        game = request.getfixturevalue(game_name)
+        apply_original, payoffs_original = aps.apply_B, aps.enforceable_payoffs
+        calls = []  # (iterate, profile, empty) of the solve's own calls
+        iterate, none_slots, fresh_call = [0], [0], [False]
+
+        def spying(game, a, delta, w, tol, system):
+            p, pivots = payoffs_original(game, a, delta, w, tol, system)
+            if not fresh_call[0]:
+                calls.append((iterate[0], a, p.is_empty))
+            return p, pivots
+
+        def comparing(game, delta, w, theta, tol, systems):
+            iterate[0] += 1
+            none_slots[0] += sum(s is None for s in systems)
+            got = apply_original(game, delta, w, theta, tol, systems)
+            fresh_call[0] = True
+            fresh = apply_original(game, delta, w, theta, tol)
+            fresh_call[0] = False
+            assert byte_equal(got.set, fresh.set), f"B(W) at iterate {iterate[0]}"
+            assert list(got.per_action) == list(fresh.per_action)
+            for label, p in got.per_action.items():
+                assert byte_equal(p, fresh.per_action[label]), f"P{label} at iterate {iterate[0]}"
+            return got
+
+        monkeypatch.setattr(aps, "enforceable_payoffs", spying)
+        monkeypatch.setattr(aps, "apply_B", comparing)
+        rep = solve(game, SolverConfig(delta=delta, theta=theta, max_iter=max_iter))
+        assert iterate[0] == rep.iterations and none_slots[0] == skipped
+        assert all(len(t.enforceable) == len(list(game.profiles())) for t in rep.trace[1:])
+        first_empty = {}
+        for k, a, empty in calls:
+            assert a not in first_empty, f"P{a} computed at iterate {k}, after it was empty at {first_empty.get(a)}"
+            if empty:
+                first_empty[a] = k

@@ -195,33 +195,19 @@ class TestFold:
                 assert pivots == fresh_pivots
 
     @staticmethod
-    def blocks_walked(game, delta, monkeypatch):
-        # one recorded call per profile: at W0 with delta 0.9 the row
-        # screen settles no Cournot or PD profile, so each one is walked
-        seen = []
+    def blocks_kept(game, delta):
+        return {game.profile_label(a): len(compile_profile(game, a, delta).kept) for a in game.profiles()}
 
-        def recording(w, num_signals, *args):
-            seen.append(num_signals)
-            return shadow_polygon(w, num_signals, *args)
-
-        monkeypatch.setattr(aps, "shadow_polygon", recording)
-        w0 = individually_rational_set(game).individually_rational
-        counts = {}
-        for a in game.profiles():
-            enforceable_payoffs(game, a, delta, w0)
-            counts[game.profile_label(a)] = seen.pop()
-        return counts
-
-    def test_cournot_block_counts(self, cournot_game, monkeypatch):
-        counts = self.blocks_walked(cournot_game, 0.9, monkeypatch)
+    def test_cournot_block_counts(self, cournot_game):
+        counts = self.blocks_kept(cournot_game, 0.9)
         assert counts == {
             "(L,L)": 1, "(L,H)": 1, "(H,L)": 1, "(H,H)": 1,
             "(L,M)": 2, "(M,L)": 2, "(M,H)": 2, "(H,M)": 2,
             "(M,M)": 4,
         }
 
-    def test_pd_keeps_every_block(self, pd_game, monkeypatch):
-        counts = self.blocks_walked(pd_game, 0.9, monkeypatch)
+    def test_pd_keeps_every_block(self, pd_game):
+        counts = self.blocks_kept(pd_game, 0.9)
         assert set(counts.values()) == {2}
 
 

@@ -79,6 +79,14 @@ class TestParse:
         with pytest.raises(GameFormatError, match="duplicate"):
             parse_game(json.dumps(data))
 
+    @pytest.mark.parametrize("player", [0, 1])
+    def test_stage_game_rejects_duplicate_action_labels(self, player):
+        # solve keeps one result per profile label
+        labels = [("C", "D"), ("C", "D")]
+        labels[player] = ("C", "C")
+        with pytest.raises(ValueError, match=f"duplicate player {player + 1} action labels"):
+            StageGame(tuple(labels), np.zeros((2, 2, 2)), ("y",), np.ones((2, 2, 1)))
+
     def test_comma_in_action_label_rejected(self, pd_game_path):
         # ("C","x,D") and ("C,x","D") would share the report.json key "C,x,D"
         data = json.loads(pd_game_path.read_text())

@@ -116,3 +116,36 @@ def test_random_systems(seed):
         p = assert_matches_reference(w, k, normals, offsets, M, c)
         kinds.add("empty" if p.is_empty else "nonempty")
     assert kinds == {"empty", "nonempty"}
+
+
+class TestMapForm:
+    """The start is optimal only when block y of M is rho_y >= 0 times
+    the identity, so any other map is refused."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_dense_map_raises(self, k):
+        rng = np.random.default_rng(7300 + k)
+        with pytest.raises(ValueError, match="block y of M"):
+            shadow_polygon(PENTAGON, k, np.zeros((0, 2 * k)), np.zeros(0), rng.normal(size=(2, 2 * k)), np.zeros(2), TOL)
+
+    @pytest.mark.parametrize(
+        "M",
+        [
+            np.array([[0.5, 0.0, 0.5, 0.0], [0.0, 0.5, 0.0, -0.5]]),  # unequal diagonal
+            np.array([[0.5, 0.1, 0.5, 0.0], [0.0, 0.5, 0.0, 0.5]]),  # off-diagonal entry
+            np.kron([0.7, -0.2], np.eye(2)),  # negative weight
+            np.kron([0.7, 0.3, 0.0], np.eye(2)),  # three blocks for two
+            np.kron([0.7, np.nan], np.eye(2)),
+        ],
+        ids=["unequal diagonal", "off-diagonal entry", "negative weight", "wrong width", "nan"],
+    )
+    def test_other_maps_raise(self, M):
+        with pytest.raises(ValueError, match="block y of M"):
+            shadow_polygon(SQUARE, 2, SLAB, np.array([0.2, 0.1]), M, np.zeros(2), TOL)
+
+    @pytest.mark.parametrize("rho", [(0.3, 0.7), (1.0, 0.0), (0.0, 0.5, 0.5), (0.0, 0.0)])
+    def test_block_map_passes(self, rho):
+        k = len(rho)
+        normals = unit_rows(np.r_[1.0, -1.0, np.zeros(2 * k - 2)])
+        M = np.kron(rho, np.eye(2))
+        assert_matches_reference(PENTAGON, k, normals, np.array([0.3]), M, np.array([0.1, -0.2]))
