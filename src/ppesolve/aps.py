@@ -9,21 +9,19 @@ compiles it once per profile (`compile_profile`): the deviation rows,
 the signals kept, the folded rows and the payoff map on the kept
 signals.
 
-Each iterate, per profile, only the W-dependent work remains.  A folded
-row's offset moves with W's lowest payoffs.  Each row's extremes over
-W^k are sums of per-block extremes over W's vertices, so a row that
-cannot cut is dropped, and a row that excludes all of W^k empties the
-profile, before any simplex pivot.  The payoff set of a profile is the
-image of the continuation polytope over the kept signals, cut by the
-remaining rows, under the discounted-average map.  When every remaining
-row holds on the diagonal of W^k, as for a stage-Nash profile, that
-image is (1-delta) u(a) + delta W; otherwise a simplex walk along the
-polytope's 2-D shadow finds its vertices (`shadow`).  The per-profile
-payoff sets are hulled together.  Iterating that operator from the
-individually rational feasible set and stopping on an area-difference
-threshold yields an outer bound on the equilibrium payoff set; a
-profile whose payoff set comes back empty is not computed again, since
-the operator is monotone and each iterate lies in the last.
+Each iterate, per profile, only the W-dependent work remains: a folded
+row's offset moves with W's lowest payoffs.  The payoff set of a
+profile is the image of the continuation polytope over the kept
+signals, cut by the deviation rows, under the discounted-average map.
+When every row holds on the diagonal of W^k, as for a stage-Nash
+profile, that image is (1-delta) u(a) + delta W; otherwise a simplex
+walk along the polytope's 2-D shadow finds its vertices, or finds it
+empty (`shadow`).  The per-profile payoff sets are hulled together.
+Iterating that operator from the individually rational feasible set
+and stopping on an area-difference threshold yields an outer bound on
+the equilibrium payoff set; a profile whose payoff set comes back
+empty is not computed again, since the operator is monotone and each
+iterate lies in the last.
 """
 
 from __future__ import annotations
@@ -37,7 +35,6 @@ import numpy as np
 
 from .game import StageGame, individually_rational_set
 from .geometry import (
-    _ROUNDING,
     DEFAULT_TOL,
     PolygonV,
     Tolerances,
@@ -66,7 +63,6 @@ class ICSystem:
     row, which either drops out or marks the profile unenforceable.
     """
 
-    profile: tuple
     normals: np.ndarray  # (r, 2S)
     offsets: np.ndarray  # (r,)
     labels: tuple  # (player index, deviation action index) per row
@@ -178,7 +174,7 @@ def ic_constraints(game: StageGame, a: tuple, delta: float) -> ICSystem:
     else:
         normals = np.zeros((0, 2 * S))
         offsets = np.zeros(0)
-    return ICSystem(tuple(a), normals, offsets, tuple(labels), infeasible)
+    return ICSystem(normals, offsets, tuple(labels), infeasible)
 
 
 def _payoff_map(game: StageGame, a: tuple, delta: float):
@@ -205,7 +201,6 @@ class ProfileSystem:
     ic: ICSystem
     kept: np.ndarray  # (k,) signal indices the polytope keeps
     normals: np.ndarray  # (r, 2k) unit rows over the kept blocks
-    abs_blocks: np.ndarray  # (r, k, 2): |normals| by block, for the screen's size bound
     folded: np.ndarray  # (r, S-k, 2): ic's coefficients on the other signals
     norm: np.ndarray  # (r,) length of each ic row's kept part
     M: np.ndarray  # (2, 2k) payoff map on the kept columns
@@ -214,8 +209,6 @@ class ProfileSystem:
     def offsets(self, w: PolygonV) -> np.ndarray:
         """Row offsets over W: a folded signal's block sits at W's lowest
         payoff for the player whose rows reach it."""
-        if self.folded.shape[1] == 0:
-            return self.ic.offsets
         shift = np.einsum("ryi,i->r", self.folded, w.vertices.min(axis=0))
         return (self.ic.offsets - shift) / self.norm
 
@@ -250,31 +243,12 @@ def compile_profile(game: StageGame, a: tuple, delta: float) -> ProfileSystem:
     kept = np.flatnonzero(kept)
     M, c = _payoff_map(game, a, delta)
     cols = (2 * kept[:, None] + np.arange(2)).ravel()
-    abs_blocks = np.abs(normals).reshape(r, len(kept), 2)
-    return ProfileSystem(ic, kept, normals, abs_blocks, folded, norm, M[:, cols], c)
+    return ProfileSystem(ic, kept, normals, folded, norm, M[:, cols], c)
 
 
 def compile_profiles(game: StageGame, delta: float) -> tuple:
     """`compile_profile` for every profile, in `game.profiles()` order."""
     return tuple(compile_profile(game, a, delta) for a in game.profiles())
-
-
-def _cutting_rows(w: PolygonV, system: ProfileSystem, offsets, tol: Tolerances):
-    """Indices of the rows that may cut W^k; None when one row empties it.
-
-    A row's least and greatest values over W^k are sums of per-block
-    extremes over W's vertices.  The margin is the shadow walk's on-plane
-    band plus a bound on the rounding of either sum, so a row dropped
-    here would leave every vertex of W^k strictly inside, and a row
-    that empties here would leave none on or inside its plane.
-    """
-    k = len(system.kept)
-    vals = system.normals.reshape(len(offsets), k, 2) @ w.vertices.T  # (rows, k, |W|)
-    size = (system.abs_blocks @ np.abs(w.vertices).T).max(axis=2).sum(axis=1) + np.abs(offsets)
-    margin = tol.eps * np.maximum(1.0, np.abs(offsets)) + _ROUNDING * (k + 1) * size
-    if np.any(vals.min(axis=2).sum(axis=1) - offsets > margin):
-        return None
-    return np.flatnonzero(vals.max(axis=2).sum(axis=1) - offsets >= -margin)
 
 
 def enforceable_payoffs(
@@ -294,24 +268,23 @@ def enforceable_payoffs(
     the deviation rows' offsets, which leaves P(a) unchanged.
 
     Per call, that is per profile and iterate, only the W-dependent work
-    is done.  The folded offsets are shifted to W, and the rows are
-    screened over W^k (`_cutting_rows`): P(a) is empty if one row
-    excludes all of W^k, and a row that cuts nothing is dropped.
-
-    When every row left holds, within the walk's on-plane band, at the
-    k-fold repeats of W's vertices, P(a) = (1-delta) u(a) + delta W with
-    no pivot.  Every signal `a` emits is kept, so M x + c is c plus
-    delta times a convex combination of x's blocks, and P(a) lies in
-    c + delta W.  The repeats span the diagonal {(x, ..., x) : x in W}
-    of W^k, so the rows hold on all of it, and its image is c + delta W.
-    An empty row set holds vacuously, and a stage-Nash profile's rows
-    hold because a constant continuation enforces it.  Otherwise a
+    is done.  The folded offsets are shifted to W.  When every row
+    holds, within the walk's on-plane band, at the k-fold repeats of
+    W's vertices, P(a) = (1-delta) u(a) + delta W with no pivot.  Every
+    signal `a` emits is kept, so M x + c is c plus delta times a convex
+    combination of x's blocks, and P(a) lies in c + delta W.  The
+    repeats span the diagonal {(x, ..., x) : x in W} of W^k, so the
+    rows hold on all of it, and its image is c + delta W.  An empty row
+    set holds vacuously, and a stage-Nash profile's rows hold because a
+    constant continuation enforces it.  Otherwise a
     simplex walk along the polytope's 2-D shadow finds the vertices of
-    P(a) (`shadow.shadow_polygon`).
+    P(a), and its dual-simplex phase finds P(a) empty when no point of
+    W^k meets every row (`shadow.shadow_polygon`).
 
     Returns (PolygonV, pivots): an empty polygon means `a` is not
     enforceable against W; pivots counts the walk's simplex pivots, 0
-    when the screen or the closed form settles the profile.
+    when W is empty, the profile is infeasible, or the closed form
+    settles it.
     """
     if w.is_empty:
         return PolygonV.empty(), 0
@@ -320,17 +293,13 @@ def enforceable_payoffs(
     if system.ic.infeasible:
         return PolygonV.empty(), 0
     offsets = system.offsets(w)
-    rows = _cutting_rows(w, system, offsets, tol)
-    if rows is None:
-        return PolygonV.empty(), 0
     k = len(system.kept)
-    normals, offsets = system.normals[rows], offsets[rows]
     # the diagonal of W^k: the tuples that repeat one vertex of W
     diag = np.tile(w.vertices, k)
-    if np.all(diag @ normals.T - offsets <= tol.eps * np.maximum(1.0, np.abs(offsets))):
+    if np.all(diag @ system.normals.T - offsets <= tol.eps * np.maximum(1.0, np.abs(offsets))):
         # every row holds on the diagonal, so P(a) = (1-delta) u(a) + delta W
         return convex_hull(diag @ system.M.T + system.c, tol), 0
-    return shadow_polygon(w, k, normals, offsets, system.M, system.c, tol)
+    return shadow_polygon(w, k, system.normals, offsets, system.M, system.c, tol)
 
 
 def apply_B(

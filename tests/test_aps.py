@@ -374,10 +374,8 @@ def nash_games():
 def hand_built_system(normals, offsets, M, c):
     """A compiled profile over k kept blocks with the given rows and map."""
     r, k = len(offsets), normals.shape[1] // 2
-    ic = aps.ICSystem((0, 0), normals, offsets, tuple((0, j) for j in range(r)))
-    return aps.ProfileSystem(
-        ic, np.arange(k), normals, np.abs(normals).reshape(r, k, 2), np.zeros((r, 0, 2)), np.ones(r), M, c
-    )
+    ic = aps.ICSystem(normals, offsets, tuple((0, j) for j in range(r)))
+    return aps.ProfileSystem(ic, np.arange(k), normals, np.zeros((r, 0, 2)), np.ones(r), M, c)
 
 
 @pytest.fixture
@@ -470,9 +468,10 @@ class TestDiagonalClosedForm:
             if rho.sum() == 0:
                 rho[0] = 1.0
             M, c = 0.8 * np.kron(rho / rho.sum(), np.eye(2)), rng.normal(size=2)
-            system = hand_built_system(normals, offsets, M, c)
-            assert len(aps._cutting_rows(w, system, offsets, tol)) == len(offsets)  # every row cuts W^k
-            p, pivots = enforceable_payoffs(None, None, None, w, tol, system)
+            # every row cuts W^k: its greatest value there, a sum of
+            # per-block maxima over W's vertices, exceeds its offset
+            assert np.all((normals.reshape(-1, k, 2) @ w.vertices.T).max(axis=2).sum(axis=1) > offsets)
+            p, pivots = enforceable_payoffs(None, None, None, w, tol, hand_built_system(normals, offsets, M, c))
             assert pivots == 0 and not walks, f"trial {trial}: walked"
             image = convex_hull(w.vertices * 0.8 + c)
             assert match_point_sets(p.vertices, image.vertices, 1e-12), f"trial {trial}"
