@@ -151,15 +151,14 @@ def convex_hull(points, tol: Tolerances = DEFAULT_TOL) -> PolygonV:
     would also pop a vertex where the chain doubles back along a
     near-vertical edge, losing a real extreme point.
     """
-    # sorted, exact duplicates dropped (np.unique(axis=0) is several times
-    # slower); a duplicate would send the chain to the exact turn test
-    pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    if len(pts) == 0:
-        return PolygonV.empty()
-    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
-    pts = pts[np.r_[True, np.any(pts[1:] != pts[:-1], axis=1)]]
-    if len(pts) == 1:
-        return PolygonV(pts)
+    # Python floats: sorted lists order as np.lexsort((y, x)), and the
+    # scan below is scalar arithmetic, cheaper than on numpy rows; exact
+    # duplicates are dropped, as they would send the chain to the exact
+    # turn test
+    pts = sorted(np.asarray(points, dtype=float).reshape(-1, 2).tolist())
+    seq = pts[:1] + [p for q, p in zip(pts, pts[1:]) if p != q]
+    if len(seq) <= 1:
+        return PolygonV(np.array(seq))
 
     def chain(seq):
         out = []
@@ -179,24 +178,20 @@ def convex_hull(points, tol: Tolerances = DEFAULT_TOL) -> PolygonV:
             out.append(p)
         return out
 
-    # Python floats: the scan is scalar arithmetic, cheaper than on numpy rows
-    seq = pts.tolist()
     lower = chain(seq)
     upper = chain(seq[::-1])
-    verts = _drop_flat_vertices(lower[:-1] + upper[:-1], tol.eps)
-    if len(verts) == 2:
-        # all points (near-)collinear: the two survivors are the ends
-        return PolygonV(np.array(sorted(verts)))
-    return canonicalize(np.array(verts))
+    return canonical_polygon(lower[:-1] + upper[:-1], tol)
 
 
-def canonicalize(vertices: np.ndarray) -> PolygonV:
-    """Rotate a CCW vertex cycle so it starts at the lexicographic minimum."""
-    v = np.asarray(vertices, dtype=float).reshape(-1, 2)
-    if len(v) <= 1:
-        return PolygonV(v)
-    start = np.lexsort((v[:, 1], v[:, 0]))[0]
-    return PolygonV(np.roll(v, -start, axis=0))
+def canonical_polygon(cycle: list, tol: Tolerances = DEFAULT_TOL) -> PolygonV:
+    """The canonical polygon of a convex CCW cycle of [x, y] lists.
+
+    Near-coincident and flat vertices are dropped (`_drop_flat_vertices`),
+    then the cycle is rotated to start at its lexicographic minimum.
+    """
+    out = _drop_flat_vertices(cycle, tol.eps)
+    i = out.index(min(out))
+    return PolygonV(np.array(out[i:] + out[:i]))
 
 
 def halfspace_rows(p: PolygonV):
@@ -223,7 +218,7 @@ def halfspace_rows(p: PolygonV):
         offsets = np.array([n @ a, -(n @ a), t @ b, -(t @ a)])
         return normals, offsets
     v = p.vertices
-    e = np.roll(v, -1, axis=0) - v
+    e = np.concatenate((v[1:], v[:1])) - v
     normals = np.column_stack([e[:, 1], -e[:, 0]])
     normals = normals / np.hypot(normals[:, 0], normals[:, 1])[:, None]
     return normals, np.einsum("ij,ij->i", normals, v)
@@ -267,8 +262,8 @@ def area(p: PolygonV) -> float:
     if not p.is_full_dim:
         return 0.0
     v = p.vertices
-    x, y = v[:, 0], v[:, 1]
-    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+    nxt = np.concatenate((v[1:], v[:1]))
+    return 0.5 * float(np.sum(v[:, 0] * nxt[:, 1] - nxt[:, 0] * v[:, 1]))
 
 
 def _point_segment_dists(q: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -290,7 +285,7 @@ def _dists_to_polygon(qs: np.ndarray, p: PolygonV) -> np.ndarray:
     if p.is_segment:
         return _point_segment_dists(qs, v[:1], v[1:])[:, 0]
     normals, offsets = halfspace_rows(p)
-    d = _point_segment_dists(qs, v, np.roll(v, -1, axis=0)).min(axis=1)
+    d = _point_segment_dists(qs, v, np.concatenate((v[1:], v[:1]))).min(axis=1)
     d[np.all(qs @ normals.T - offsets <= 0.0, axis=1)] = 0.0
     return d
 
@@ -350,7 +345,7 @@ def rdp_simplify(p: PolygonV, theta: float, tol: Tolerances = DEFAULT_TOL) -> Po
     x, y = v[:, 0], v[:, 1]
     lo = int(np.argmin(np.where(x <= x.min() + tol.eps, y, np.inf)))
     hi = int(np.argmax(np.where(x >= x.max() - tol.eps, y, -np.inf)))
-    v = np.roll(v, -lo, axis=0)
+    v = np.concatenate((v[lo:], v[:lo]))
     hi = (hi - lo) % len(v)
     chain1 = v[: hi + 1]
     chain2 = np.vstack([v[hi:], v[:1]])

@@ -7,7 +7,7 @@ from ppesolve.geometry import (
     PolygonV,
     Tolerances,
     area,
-    canonicalize,
+    canonical_polygon,
     contains_polygon,
     convex_hull,
     dist_point_polygon,
@@ -209,7 +209,7 @@ class TestConvexHull:
     def test_canonicalization_rotation_invariant(self):
         p = random_hull()
         for shift in range(p.num_vertices):
-            q = canonicalize(np.roll(p.vertices, shift, axis=0))
+            q = canonical_polygon(np.roll(p.vertices, shift, axis=0).tolist())
             assert np.array_equal(q.vertices, p.vertices)
 
 
