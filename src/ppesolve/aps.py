@@ -39,6 +39,7 @@ from .geometry import (
     PolygonV,
     Tolerances,
     area,
+    canonical_polygon,
     convex_hull,
     hausdorff,
     intersect_polygons,
@@ -297,8 +298,8 @@ def enforceable_payoffs(
     # the diagonal of W^k: the tuples that repeat one vertex of W
     diag = np.tile(w.vertices, k)
     if np.all(diag @ system.normals.T - offsets <= tol.eps * np.maximum(1.0, np.abs(offsets))):
-        # every row holds on the diagonal, so P(a) = (1-delta) u(a) + delta W
-        return convex_hull(diag @ system.M.T + system.c, tol), 0
+        # every row holds on the diagonal: P(a) = (1-delta) u(a) + delta W, W's cycle
+        return canonical_polygon((diag @ system.M.T + system.c).tolist(), tol), 0
     return shadow_polygon(w, k, system.normals, offsets, system.M, system.c, tol)
 
 

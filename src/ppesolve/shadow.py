@@ -1,14 +1,14 @@
 """P(a) as the 2-D shadow of the cut continuation polytope.
 
 Q = {x in R^(2k) : A x <= b} stacks W's halfspace rows on each of the k
-signal blocks (`product_polytope`), then the deviation rows.  P(a) is
-the image of Q under x -> M x + c, so its vertices are images of
-vertices of Q that maximise d.(M x) for some direction d.  A basis
-(2k tight rows) is optimal for d while its multipliers
-y(d) = d.(M B^-1) are nonnegative; turning d once around the circle
-from one optimal basis and pivoting whenever a multiplier reaches zero
-visits every such vertex, at about one pivot per vertex of P(a) (the
-shadow-vertex method: Gass & Saaty 1955; Borgwardt 1987).
+signal blocks, then the deviation rows.  P(a) is the image of Q under
+x -> M x + c, so its vertices are images of vertices of Q that maximise
+d.(M x) for some direction d.  A basis (2k tight rows) is optimal for d
+while its multipliers y(d) = d.(M B^-1) are nonnegative; turning d once
+around the circle from one optimal basis and pivoting whenever a
+multiplier reaches zero visits every such vertex, in CCW order, at about
+one pivot per vertex of P(a) (the shadow-vertex method: Gass & Saaty
+1955; Borgwardt 1987).
 
 The walk keeps the dense tableau A B^-1, with the slacks b - A x as an
 extra column, and the payoff map's rows M B^-1, with -M x, below it;
@@ -21,8 +21,7 @@ import math
 
 import numpy as np
 
-from .geometry import PolygonV, Tolerances, convex_hull
-from .vertex_enum import product_polytope
+from .geometry import PolygonV, Tolerances, canonical_polygon, halfspace_rows
 
 # angle of the first objective direction: any works, a generic one
 # meets fewer ties
@@ -67,32 +66,46 @@ def shadow_polygon(w: PolygonV, k: int, normals, offsets, M, c, tol: Tolerances)
     is optimal only for that form.
 
     Starts at the vertex of W^k that maximises a fixed direction, block
-    by block, and restores the cut rows with dual-simplex pivots; when
-    a violated row finds no row to leave, the polytope is empty.  Then
-    it turns the direction once around the circle.  Bland's rule settles
-    ties, and a basic row whose multiplier is zero for every direction
-    never leaves.  Returns (PolygonV, pivots).
+    by block: W's two rows tight at W's maximiser x0 in every block, so
+    the start basis inverts block by block with one 2x2 inverse.  It
+    restores the cut rows with dual-simplex pivots; when a violated row
+    finds no row to leave, the polytope is empty.  Then it turns the
+    direction once around the circle, which visits P(a)'s vertices in
+    CCW order, so their images are kept as they come
+    (`canonical_polygon`), not hulled.  Bland's rule settles ties, and
+    a basic row whose multiplier is zero for every direction never
+    leaves.  Returns (PolygonV, pivots).
     """
     M = np.asarray(M, dtype=float)
-    block_form = np.zeros((2, 2 * k))
-    if M.shape == block_form.shape:
-        block_form[0, ::2] = block_form[1, 1::2] = M[0, ::2]
-    if not np.array_equal(M, block_form) or (block_form < 0).any():
-        raise ValueError("shadow walk: block y of M must be rho_y >= 0 times the identity")
-    prod = product_polytope(w, k)
-    m = prod.num_rows // k
     n = 2 * k
-    b = np.concatenate([prod.offsets, offsets])
-    R = len(b)
+    u, v = M.tolist() if M.shape == (2, n) else ([], [])
+    rho = u[::2]
+    if not rho or v[1::2] != rho or u[1::2] + v[::2] != [0.0] * n or not all(r >= 0 for r in rho):
+        raise ValueError("shadow walk: block y of M must be rho_y >= 0 times the identity")
+    normals2, offsets2 = halfspace_rows(w)
+    m = len(offsets2)
     d = np.array([math.cos(_PHI0), math.sin(_PHI0)])
-    basis = [y * m + r for y in range(k) for r in _start_rows(w, prod.normals[:m, :2], d)]
-    A = np.vstack([prod.normals, normals, M])
-    T = np.empty((R + 2, n + 1))
-    T[:, :n] = A @ np.linalg.inv(A[basis])
-    T[:, n] = -(T[:, :n] @ b[basis])
-    T[:R, n] += b
-    T[basis] = np.eye(n, n + 1)
-    band = tol.eps * np.maximum(1.0, np.abs(b))
+    start = list(_start_rows(w, normals2, d))
+    inv = np.linalg.inv(normals2[start])
+    x0 = inv @ offsets2[start]
+    # W's rows, in every block: N B^-1 in the block's own columns, and
+    # slacks b - N x0; the basic rows are exactly e_p and 0
+    nb = normals2 @ inv
+    nb[start] = np.eye(2)
+    slack = offsets2 - normals2 @ x0
+    slack[start] = 0.0
+    R = k * m + len(offsets)
+    T = np.zeros((R + 2, n + 1))
+    for y in range(k):
+        T[y * m : (y + 1) * m, 2 * y : 2 * y + 2] = nb
+        T[y * m : (y + 1) * m, n] = slack
+    # the deviation rows, then the map's rows: a row times B^-1 block by block
+    rows = np.concatenate((normals, M))
+    T[k * m :, :n] = (rows.reshape(-1, k, 2) @ inv).reshape(-1, n)
+    T[k * m :, n] = -(rows @ np.concatenate((x0,) * k))
+    T[k * m : R, n] += offsets
+    basis = [y * m + r for y in range(k) for r in start]
+    band = tol.eps * np.maximum(1.0, np.abs(np.concatenate((offsets2,) * k + (offsets,))))
     limit = 10 * (R + n) + 100  # a guard: the walk ends long before
     pivots = 0
 
@@ -133,14 +146,15 @@ def shadow_polygon(w: PolygonV, k: int, normals, offsets, M, c, tol: Tolerances)
         phi += angles[i]
         p = ps[i]
         col = T[:R, p]
-        js = (col < -_PIVOT).nonzero()[0]
-        if not js.size:
-            raise RuntimeError("shadow walk: an edge of the polytope is unbounded")
-        ratios = np.maximum(T[js, n], 0.0) / -col[js]
+        ratios = np.divide(
+            np.maximum(T[:R, n], 0.0), -col, out=np.full(R, math.inf), where=col < -_PIVOT
+        )
         least = ratios.min()
-        _pivot(T, basis, int(js[np.argmax(ratios <= least + _TIE * (1.0 + least))]), p)
+        if least == math.inf:
+            raise RuntimeError("shadow walk: an edge of the polytope is unbounded")
+        _pivot(T, basis, int(np.argmax(ratios <= least + _TIE * (1.0 + least))), p)
         images.append(T[R:, n].copy())
         pivots += 1
         if pivots > limit:
             raise RuntimeError("shadow walk: rotation exceeded its pivot bound")
-    return convex_hull(c - np.array(images), tol), pivots
+    return canonical_polygon((c - np.array(images)).tolist(), tol), pivots

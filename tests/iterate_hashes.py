@@ -3,6 +3,7 @@
 Run from the repository root:
 
     PYTHONPATH=src python3 tests/iterate_hashes.py
+    PYTHONPATH=src python3 tests/iterate_hashes.py --against DIR
 
 Each line gives a run, its iteration count, its stop reason, and the
 SHA-256 over the C-contiguous float64 bytes of every `trace[k].vertices`,
@@ -10,20 +11,29 @@ in order from k = 0.  Two trees that print the same lines produced
 bit-identical iterates.  After printing, the script names each run whose
 line differs from EXPECTED and exits 1; a change that means to move an
 iterate updates EXPECTED in the same commit.  The five runs take about
-6.5 s together on a 2-CPU machine, 6 s of it in the exact PD run (44
-applications, with iterates of up to 1,234 vertices).  The file is not
+7 s together on a 2-CPU machine, 6.5 s of it in the exact PD run (44
+applications, with iterates of up to 1,237 vertices).  The file is not
 collected by pytest; `tests/test_aps.py` checks the four fast runs.
+
+With --against DIR, the five runs are also solved on DIR/src and every
+iterate is compared (`compare_against`); EXPECTED is not read.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
+import os
+import pickle
+import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 
 from ppesolve import SolverConfig, parse_game, solve
+from ppesolve.geometry import PolygonV, hausdorff
 
 GAMES = Path(__file__).resolve().parents[1] / "games"
 
@@ -39,15 +49,15 @@ RUNS = [
 
 EXPECTED = {
     "pd delta=0.9 theta=0.02": "39 iterations, area_epsilon, "
-    "2194d8833145caf9e58afe573198bc0defdfd07c531a68ff09dd17b1a4c07d1e",
+    "801e7f0576aac90679b53b45b74be28efa03abb34bce7c7b8b34929cce84b1a9",
     "cournot delta=0.5 theta=0": "36 iterations, hausdorff_epsilon, "
-    "5cd6c14c67e9c0a7f4811efc693b1080dc9faf2cbd515195c014a33e02441b6e",
+    "6f53272257004c3991698dc0cd7ea681316a67495f328a429129b6693bd4d486",
     "cournot-patient delta=0.9 theta=0.05": "3 iterations, max_iter, "
-    "8693729fff2af35d1f39d4e218801373d8b69912d0eec7a96280975aec6b3e0f",
+    "c18e1fe5bdca298a4c39ccd367f7e58c76fdcacaa71827b395e62a2cb03d306c",
     "pd delta=0.5 theta=0": "22 iterations, hausdorff_epsilon, "
     "79f35932500d0fd460d2d6194fa7117773c3abcf396ee97db3c0bfc0210ac316",
     "pd delta=0.9 theta=0": "44 iterations, area_epsilon, "
-    "64d8347735098660dc80db866213f36fe11ca356072c890e750bec7c318e74ca",
+    "a4c681c7cb6b77757044a93db8ad8e4df6708d5a63ae40d0c6768507241281cb",
 }
 
 
@@ -58,14 +68,78 @@ def iterate_hash(report) -> str:
     return h.hexdigest()
 
 
+def run_report(game_file, delta, theta, max_iter):
+    game = parse_game((GAMES / game_file).read_text(encoding="utf-8"))
+    return solve(game, SolverConfig(delta=delta, theta=theta, max_iter=max_iter))
+
+
 def run_line(game_file, delta, theta, max_iter) -> str:
     """One run's line: iteration count, stop reason and iterate hash."""
-    game = parse_game((GAMES / game_file).read_text(encoding="utf-8"))
-    report = solve(game, SolverConfig(delta=delta, theta=theta, max_iter=max_iter))
+    report = run_report(game_file, delta, theta, max_iter)
     return f"{report.iterations} iterations, {report.stop_reason}, {iterate_hash(report)}"
 
 
+def dump_runs(path: str) -> None:
+    """Pickle each run's iteration count, stop reason and iterates."""
+    out = {}
+    for name, *run in RUNS:
+        report = run_report(*run)
+        out[name] = (report.iterations, report.stop_reason, [t.vertices for t in report.trace])
+    Path(path).write_bytes(pickle.dumps(out))
+
+
+def iterate_distance(p: np.ndarray, q: np.ndarray) -> float:
+    if len(p) == 0 or len(q) == 0:
+        return 0.0 if len(p) == len(q) else float("inf")
+    return hausdorff(PolygonV(p), PolygonV(q))
+
+
+def compare_against(other: Path) -> int:
+    """Solve the pinned runs here and on `other`/src, and compare them.
+
+    The other tree's runs are made in a subprocess with `other`/src
+    first on PYTHONPATH.  For each run, prints whether the iteration
+    count and stop reason match, how many iterates differ in bytes, and
+    the worst Hausdorff distance between iterates of the same index.
+    Exits 1 if any iteration count or stop reason differs.
+    """
+    with tempfile.TemporaryDirectory() as tmp:
+        dump = os.path.join(tmp, "runs.pickle")
+        env = dict(os.environ, PYTHONPATH=str(other.resolve() / "src"))
+        subprocess.run([sys.executable, __file__, "--dump", dump], env=env, check=True)
+        theirs = pickle.loads(Path(dump).read_bytes())
+    differ = 0
+    for name, *run in RUNS:
+        report = run_report(*run)
+        ours = [t.vertices for t in report.trace]
+        iterations, reason, vertices = theirs[name]
+        same = (report.iterations, report.stop_reason) == (iterations, reason)
+        differ += not same
+        changed = sum(
+            a.shape != b.shape or a.tobytes() != b.tobytes() for a, b in zip(ours, vertices)
+        )
+        worst = max(iterate_distance(a, b) for a, b in zip(ours, vertices))
+        print(
+            f"{name}: {'same' if same else 'DIFFERENT'} count and reason "
+            f"({iterations} {reason} there, {report.iterations} {report.stop_reason} here); "
+            f"{changed} of {min(len(ours), len(vertices))} iterates differ in bytes; "
+            f"worst Hausdorff distance {worst:.2g}",
+            flush=True,
+        )
+    return 1 if differ else 0
+
+
 def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--against", type=Path, metavar="DIR",
+                        help="compare every iterate with the tree at DIR instead of with EXPECTED")
+    parser.add_argument("--dump", metavar="FILE", help=argparse.SUPPRESS)
+    args = parser.parse_args()
+    if args.dump:
+        dump_runs(args.dump)
+        return 0
+    if args.against:
+        return compare_against(args.against)
     differ = []
     for name, *run in RUNS:
         line = run_line(*run)

@@ -2,8 +2,12 @@
 
 Q is W^k cut by extra rows.  The reference solves every choice of 2k
 rows as equalities (`polytope_vertices_bruteforce`), keeps the feasible
-solutions, maps them through x -> M x + c and hulls the images; it
-shares only `product_polytope` with the walk.
+solutions, maps them through x -> M x + c and hulls the images.  It
+builds Q's rows with `product_polytope`, which the walk does not use.
+
+The walk keeps its images in the CCW order it visits them instead of
+hulling them, so each test also checks that hulling its polygon again
+changes no byte.
 """
 
 import numpy as np
@@ -42,8 +46,17 @@ def reference(w, k, normals, offsets, M, c):
     return PolygonV.empty() if len(pts) == 0 else convex_hull(pts @ M.T + c, TOL)
 
 
+def assert_canonical(p):
+    """Hulling p again changes no byte: p has no duplicate, flat or
+    reflex vertex, and starts at its lexicographic minimum."""
+    q = convex_hull(p.vertices, TOL)
+    assert q.vertices.shape == p.vertices.shape
+    assert q.vertices.tobytes() == p.vertices.tobytes()
+
+
 def assert_matches_reference(w, k, normals, offsets, M, c):
     p, _ = shadow_polygon(w, k, normals, offsets, M, c, TOL)
+    assert_canonical(p)
     ref = reference(w, k, normals, offsets, M, c)
     assert p.is_empty == ref.is_empty
     if not ref.is_empty:
@@ -116,6 +129,25 @@ def test_random_systems(seed):
         p = assert_matches_reference(w, k, normals, offsets, M, c)
         kinds.add("empty" if p.is_empty else "nonempty")
     assert kinds == {"empty", "nonempty"}
+
+
+def test_criterion_07_systems_are_canonical(monkeypatch, capsys):
+    """The walk's polygons on criterion 07's 200 systems, taken from a
+    spy on the walk while that criterion runs, hull to themselves."""
+    import test_acceptance
+
+    polygons = []
+
+    def spy(*args):
+        p, pivots = shadow_polygon(*args)
+        polygons.append(p)
+        return p, pivots
+
+    monkeypatch.setattr(test_acceptance, "shadow_polygon", spy)
+    test_acceptance.test_criterion_07_vertex_enum_oracle(capsys)
+    assert len(polygons) == 200
+    for p in polygons:
+        assert_canonical(p)
 
 
 class TestMapForm:
