@@ -86,15 +86,18 @@ class PayoffSetPair:
 def _num(x, where: str) -> float:
     if isinstance(x, bool):
         raise GameFormatError(f"{where}: expected a number, got a boolean")
-    if isinstance(x, (int, float)):
-        if not math.isfinite(x):
-            raise GameFormatError(f"{where}: {x!r} is not a finite number")
-        return float(x)
-    if isinstance(x, str):
-        try:
-            return float(Fraction(x))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise GameFormatError(f"{where}: bad rational literal {x!r}") from exc
+    try:
+        if isinstance(x, (int, float)):
+            if not math.isfinite(x):
+                raise GameFormatError(f"{where}: {x!r} is not a finite number")
+            return float(x)
+        if isinstance(x, str):
+            try:
+                return float(Fraction(x))
+            except (ValueError, ZeroDivisionError) as exc:
+                raise GameFormatError(f"{where}: bad rational literal {x!r}") from exc
+    except OverflowError as exc:  # too large for a float
+        raise GameFormatError(f"{where}: {x!r} is not a finite number") from exc
     raise GameFormatError(f"{where}: expected a number or 'p/q' string")
 
 

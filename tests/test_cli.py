@@ -115,6 +115,16 @@ class TestSolveCommand:
         assert result.exit_code == 1
         assert "unknown emit target" in result.output
 
+    def test_overflowing_number_exits_one(self, tmp_path, pd_game_path):
+        data = json.loads(pd_game_path.read_text())
+        data["payoffs"][0][1][1] = 10**400
+        game = tmp_path / "overflow.json"
+        game.write_text(json.dumps(data))
+        result = run_cli(["solve", "--game", str(game), "--delta", "0.9"])
+        assert result.exit_code == 1
+        assert "is not a finite number" in result.output
+        assert "Traceback" not in result.output
+
     def test_max_iter_exhaustion_exits_two(self, tmp_path, pd_game_path):
         result = run_cli(
             ["solve", "--game", str(pd_game_path), *PD_ARGS,

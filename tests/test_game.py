@@ -65,6 +65,13 @@ class TestParse:
         with pytest.raises(GameFormatError, match="finite"):
             parse_game(json.dumps(data))
 
+    @pytest.mark.parametrize("value", [10**400, "1e400"], ids=["400-digit integer", "string 1e400"])
+    def test_overflowing_payoff_rejected(self, pd_game_path, value):
+        data = json.loads(pd_game_path.read_text())
+        data["payoffs"][1][0][0] = value
+        with pytest.raises(GameFormatError, match=r"payoffs.*is not a finite number"):
+            parse_game(json.dumps(data))
+
     def test_syntax_error(self):
         with pytest.raises(GameFormatError, match="JSON"):
             parse_game("{not json")
