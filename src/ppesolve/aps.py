@@ -5,14 +5,13 @@ in the continuation mapping (the promised value is substituted out).  A
 signal the profile never emits only punishes deviations; unless both
 players' deviations reach it, its block is dropped or fixed at the
 deviator's harshest point of W.  None of this depends on W, so `solve`
-compiles it once per profile (`compile_profile`): the deviation rows,
-the signals kept, the folded rows and the payoff map on the kept
-signals.
+compiles it once per profile (`compile_profile`): the folded rows over
+the k signals kept, and each kept signal's weight delta * rho(y|a).
 
 Each iterate, per profile, only the W-dependent work remains: a folded
 row's offset moves with W's lowest payoffs.  The payoff set of a
-profile is the image of the continuation polytope over the kept
-signals, cut by the deviation rows, under the discounted-average map.
+profile is the image of W^k, cut by the deviation rows, under the
+discounted-average map v = (1-delta) u(a) + sum_y weight_y gamma(y).
 When every row holds on the diagonal of W^k, as for a stage-Nash
 profile, that image is (1-delta) u(a) + delta W; otherwise a simplex
 walk along the polytope's 2-D shadow finds its vertices, or finds it
@@ -78,6 +77,10 @@ class SolverConfig:
     max_iter: int = 200
 
     def __post_init__(self):
+        # bool is an Integral: True would run one iteration, or read as 1.0
+        for name in ("delta", "epsilon", "theta", "max_iter"):
+            if isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be a number, not a bool")
         for name in ("delta", "epsilon", "theta"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
@@ -178,44 +181,34 @@ def ic_constraints(game: StageGame, a: tuple, delta: float) -> ICSystem:
     return ICSystem(normals, offsets, tuple(labels), infeasible)
 
 
-def _payoff_map(game: StageGame, a: tuple, delta: float):
-    """v = (1-delta) u(a) + delta sum_y rho(y|a) gamma(y) as (M, c)."""
-    S = game.num_signals
-    rho = game.signal_probs[a[0], a[1]]
-    M = np.zeros((2, 2 * S))
-    M[0, 2 * np.arange(S)] = delta * rho
-    M[1, 2 * np.arange(S) + 1] = delta * rho
-    c = (1.0 - delta) * game.payoffs[a[0], a[1]]
-    return M, c
-
-
 @dataclass(frozen=True)
 class ProfileSystem:
     """What P(a) needs of the stage game, compiled once per (game, a, delta).
 
-    An iterate changes only W, so the deviation rows, the signals kept,
-    the folded unit rows and the payoff map stay fixed for a whole
-    solve.  Only the offsets of rows that fold a signal depend on W,
-    through W's lowest payoff per player (`offsets`).
+    P(a) is the image of W^k, cut by normals . x <= offsets(W), under
+    x -> c + sum_y weights[y] x_y.  An iterate changes only W, so all
+    of this stays fixed for a whole solve but the offsets of rows that
+    fold a signal, which follow W's lowest payoff per player.
     """
 
-    ic: ICSystem
-    kept: np.ndarray  # (k,) signal indices the polytope keeps
     normals: np.ndarray  # (r, 2k) unit rows over the kept blocks
-    folded: np.ndarray  # (r, S-k, 2): ic's coefficients on the other signals
-    norm: np.ndarray  # (r,) length of each ic row's kept part
-    M: np.ndarray  # (2, 2k) payoff map on the kept columns
-    c: np.ndarray  # (2,)
+    ic_offsets: np.ndarray  # (r,) the deviation rows' offsets, unfolded
+    folded: np.ndarray  # (r, S-k, 2): the deviation rows' coefficients on the other signals
+    norm: np.ndarray  # (r,) length of each deviation row's kept part
+    weights: np.ndarray  # (k,) delta * rho(y|a) on the kept signals
+    c: np.ndarray  # (2,) (1-delta) u(a)
 
     def offsets(self, w: PolygonV) -> np.ndarray:
         """Row offsets over W: a folded signal's block sits at W's lowest
         payoff for the player whose rows reach it."""
         shift = np.einsum("ryi,i->r", self.folded, w.vertices.min(axis=0))
-        return (self.ic.offsets - shift) / self.norm
+        return (self.ic_offsets - shift) / self.norm
 
 
-def compile_profile(game: StageGame, a: tuple, delta: float) -> ProfileSystem:
-    """P(a)'s system of rows over the signals that still matter, for any W.
+def compile_profile(game: StageGame, a: tuple, delta: float) -> ProfileSystem | None:
+    """P(a)'s system of rows over the signals that still matter, for any W;
+    None when a same-signal deviation is strictly profitable, so that
+    P(a) is empty whatever W is.
 
     A signal that `a` never emits leaves the promised value alone; its
     coefficients, delta * rho(y|d) / |n| >= 0, sit on the deviating
@@ -226,6 +219,8 @@ def compile_profile(game: StageGame, a: tuple, delta: float) -> ProfileSystem:
     offsets.  When nothing folds, the rows are ic's own.
     """
     ic = ic_constraints(game, a, delta)
+    if ic.infeasible:
+        return None
     S = game.num_signals
     rho = game.signal_probs[a[0], a[1]]
     r = len(ic.offsets)
@@ -241,10 +236,8 @@ def compile_profile(game: StageGame, a: tuple, delta: float) -> ProfileSystem:
         # on its support matches it everywhere, and ic_constraints dropped it
         norm = np.linalg.norm(normals, axis=1)
         normals = normals / norm[:, None]
-    kept = np.flatnonzero(kept)
-    M, c = _payoff_map(game, a, delta)
-    cols = (2 * kept[:, None] + np.arange(2)).ravel()
-    return ProfileSystem(ic, kept, normals, folded, norm, M[:, cols], c)
+    c = (1.0 - delta) * game.payoffs[a[0], a[1]]
+    return ProfileSystem(normals, ic.offsets, folded, norm, delta * rho[kept], c)
 
 
 def compile_profiles(game: StageGame, delta: float) -> tuple:
@@ -252,55 +245,40 @@ def compile_profiles(game: StageGame, delta: float) -> tuple:
     return tuple(compile_profile(game, a, delta) for a in game.profiles())
 
 
-def enforceable_payoffs(
-    game: StageGame,
-    a: tuple,
-    delta: float,
-    w: PolygonV,
-    tol: Tolerances = DEFAULT_TOL,
-    system: ProfileSystem | None = None,
-):
-    """P(a): image of the IC-cut continuation polytope, as a polygon.
+def enforceable_payoffs(system: ProfileSystem, w: PolygonV, tol: Tolerances = DEFAULT_TOL):
+    """P(a) against W, from the profile's compiled `system` alone.
 
-    `system` is `compile_profile(game, a, delta)`, which `solve` builds
-    once per profile; a call without it compiles its own.  The polytope
-    lives over the signals `a` can emit plus those that both players'
-    deviations reach; every other signal block is dropped or folded into
-    the deviation rows' offsets, which leaves P(a) unchanged.
-
-    Per call, that is per profile and iterate, only the W-dependent work
-    is done.  The folded offsets are shifted to W.  When every row
-    holds, within the walk's on-plane band, at the k-fold repeats of
-    W's vertices, P(a) = (1-delta) u(a) + delta W with no pivot.  Every
-    signal `a` emits is kept, so M x + c is c plus delta times a convex
-    combination of x's blocks, and P(a) lies in c + delta W.  The
-    repeats span the diagonal {(x, ..., x) : x in W} of W^k, so the
-    rows hold on all of it, and its image is c + delta W.  An empty row
-    set holds vacuously, and a stage-Nash profile's rows hold because a
-    constant continuation enforces it.  Otherwise a
-    simplex walk along the polytope's 2-D shadow finds the vertices of
-    P(a), and its dual-simplex phase finds P(a) empty when no point of
-    W^k meets every row (`shadow.shadow_polygon`).
+    `solve` compiles each profile once (`compile_profile`; a profile
+    that compiles to None has an empty P(a) and never gets here), so a
+    call, that is per profile and iterate, does only the W-dependent
+    work.
+    The folded offsets are shifted to W.  When every row holds, within
+    the walk's on-plane band, at the k-fold repeats of W's vertices,
+    P(a) = (1-delta) u(a) + delta W with no pivot.  Every signal `a`
+    emits is kept, so the weights sum to delta and P(a) lies in
+    c + delta W.  The repeats span the diagonal {(x, ..., x) : x in W}
+    of W^k, so the rows hold on all of it, and its image is
+    c + delta W.  An empty row set holds vacuously, and a stage-Nash
+    profile's rows hold because a constant continuation enforces it.
+    Otherwise a simplex walk along the polytope's 2-D shadow finds the
+    vertices of P(a), and its dual-simplex phase finds P(a) empty when
+    no point of W^k meets every row (`shadow.shadow_polygon`).
 
     Returns (PolygonV, pivots): an empty polygon means `a` is not
     enforceable against W; pivots counts the walk's simplex pivots, 0
-    when W is empty, the profile is infeasible, or the closed form
-    settles it.
+    when W is empty or the closed form settles it.
     """
     if w.is_empty:
         return PolygonV.empty(), 0
-    if system is None:
-        system = compile_profile(game, a, delta)
-    if system.ic.infeasible:
-        return PolygonV.empty(), 0
     offsets = system.offsets(w)
-    k = len(system.kept)
+    k = len(system.weights)
     # the diagonal of W^k: the tuples that repeat one vertex of W
     diag = np.tile(w.vertices, k)
     if np.all(diag @ system.normals.T - offsets <= tol.eps * np.maximum(1.0, np.abs(offsets))):
         # every row holds on the diagonal: P(a) = (1-delta) u(a) + delta W, W's cycle
-        return canonical_polygon((diag @ system.M.T + system.c).tolist(), tol), 0
-    return shadow_polygon(w, k, system.normals, offsets, system.M, system.c, tol)
+        image = system.weights @ diag.reshape(-1, k, 2) + system.c
+        return canonical_polygon(image.tolist(), tol), 0
+    return shadow_polygon(w, system.weights, system.normals, offsets, system.c, tol)
 
 
 def apply_B(
@@ -317,8 +295,9 @@ def apply_B(
     `systems` holds `compile_profile(game, a, delta)` for each profile in
     that order; `solve` compiles them once, a call without them compiles
     its own.  A None in a profile's slot gives it the empty set without
-    computing it: `solve` passes None for each profile whose set was
-    empty at an earlier iterate.
+    computing it: the slot of an infeasible profile holds None, and
+    `solve` passes None for each profile whose set was empty at an
+    earlier iterate.
     """
     if systems is None:
         systems = compile_profiles(game, delta)
@@ -328,7 +307,7 @@ def apply_B(
         if system is None:
             poly = PolygonV.empty()
         else:
-            poly, _ = enforceable_payoffs(game, a, delta, w, tol, system)
+            poly, _ = enforceable_payoffs(system, w, tol)
         label = (game.action_labels[0][a[0]], game.action_labels[1][a[1]])
         per_action[label] = poly
         if not poly.is_empty:
@@ -448,8 +427,9 @@ def verify_enforceability(
         f"deviation of player {i + 1} to {game.action_labels[i][d]!r}"
         for i, d in ic.labels
     ]
-    M, c = _payoff_map(game, a, delta)
-    A_eq, b_eq = M, v - c
+    # the promised value: v = (1-delta) u(a) + delta sum_y rho(y|a) gamma(y)
+    A_eq = np.kron(delta * game.signal_probs[a[0], a[1]], np.eye(2))
+    b_eq = v - (1.0 - delta) * game.payoffs[a[0], a[1]]
     if ic.infeasible:
         # a same-signal deviation is strictly profitable: no gamma helps
         return Refusal("profile has a profitable undetectable deviation", float("inf"))

@@ -20,6 +20,8 @@ def _load_game(path: str):
         text = p.read_text(encoding="utf-8")
     except OSError as exc:
         raise click.ClickException(f"cannot read game file {path}: {exc}")
+    except UnicodeDecodeError:
+        raise click.ClickException(f"cannot read game file {path}: not UTF-8 text")
     try:
         return parse_game(text)
     except GameFormatError as exc:

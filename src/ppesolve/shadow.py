@@ -2,17 +2,19 @@
 
 Q = {x in R^(2k) : A x <= b} stacks W's halfspace rows on each of the k
 signal blocks, then the deviation rows.  P(a) is the image of Q under
-x -> M x + c, so its vertices are images of vertices of Q that maximise
-d.(M x) for some direction d.  A basis (2k tight rows) is optimal for d
-while its multipliers y(d) = d.(M B^-1) are nonnegative; turning d once
-around the circle from one optimal basis and pivoting whenever a
-multiplier reaches zero visits every such vertex, in CCW order, at about
-one pivot per vertex of P(a) (the shadow-vertex method: Gass & Saaty
-1955; Borgwardt 1987).
+the payoff map x -> M x + c, whose block y is the signal's weight
+delta * rho(y|a) >= 0 times the 2x2 identity, so its vertices are
+images of vertices of Q that maximise d.(M x) for some direction d.  A
+basis (2k tight rows) is optimal for d while its multipliers
+y(d) = d.(M B^-1) are nonnegative; turning d once around the circle
+from one optimal basis and pivoting whenever a multiplier reaches zero
+visits every such vertex, in CCW order, at about one pivot per vertex
+of P(a) (the shadow-vertex method: Gass & Saaty 1955; Borgwardt 1987).
 
 The walk keeps the dense tableau A B^-1, with the slacks b - A x as an
 extra column, and the payoff map's rows M B^-1, with -M x, below it;
-one rank-1 update per pivot keeps all of it current.
+one rank-1 update per pivot keeps all of it current.  M is never
+formed: its rows follow from the weights and the start basis.
 """
 
 from __future__ import annotations
@@ -59,15 +61,14 @@ def _start_rows(w: PolygonV, normals2: np.ndarray, d: np.ndarray) -> tuple:
     return (0 if normals2[0] @ d >= 0 else 1, 2 if normals2[2] @ d >= 0 else 3)
 
 
-def shadow_polygon(w: PolygonV, k: int, normals, offsets, M, c, tol: Tolerances):
-    """The image under x -> M x + c of W^k cut by normals.x <= offsets,
-    for M whose block y is rho_y >= 0 times the 2x2 identity (the payoff
-    map's form); any other M raises ValueError, since the start below
-    is optimal only for that form.
+def shadow_polygon(w: PolygonV, weights, normals, offsets, c, tol: Tolerances):
+    """The image under x -> c + sum_y weights[y] x_y of W^k cut by
+    normals.x <= offsets, for k = len(weights) nonnegative weights.
 
     Starts at the vertex of W^k that maximises a fixed direction, block
     by block: W's two rows tight at W's maximiser x0 in every block, so
-    the start basis inverts block by block with one 2x2 inverse.  It
+    the start basis inverts block by block with one 2x2 inverse.  That
+    start is optimal only because the weights are nonnegative.  It
     restores the cut rows with dual-simplex pivots; when a violated row
     finds no row to leave, the polytope is empty.  Then it turns the
     direction once around the circle, which visits P(a)'s vertices in
@@ -76,12 +77,8 @@ def shadow_polygon(w: PolygonV, k: int, normals, offsets, M, c, tol: Tolerances)
     a basic row whose multiplier is zero for every direction never
     leaves.  Returns (PolygonV, pivots).
     """
-    M = np.asarray(M, dtype=float)
+    k = len(weights)
     n = 2 * k
-    u, v = M.tolist() if M.shape == (2, n) else ([], [])
-    rho = u[::2]
-    if not rho or v[1::2] != rho or u[1::2] + v[::2] != [0.0] * n or not all(r >= 0 for r in rho):
-        raise ValueError("shadow walk: block y of M must be rho_y >= 0 times the identity")
     normals2, offsets2 = halfspace_rows(w)
     m = len(offsets2)
     d = np.array([math.cos(_PHI0), math.sin(_PHI0)])
@@ -99,11 +96,12 @@ def shadow_polygon(w: PolygonV, k: int, normals, offsets, M, c, tol: Tolerances)
     for y in range(k):
         T[y * m : (y + 1) * m, 2 * y : 2 * y + 2] = nb
         T[y * m : (y + 1) * m, n] = slack
-    # the deviation rows, then the map's rows: a row times B^-1 block by block
-    rows = np.concatenate((normals, M))
-    T[k * m :, :n] = (rows.reshape(-1, k, 2) @ inv).reshape(-1, n)
-    T[k * m :, n] = -(rows @ np.concatenate((x0,) * k))
-    T[k * m : R, n] += offsets
+    # the deviation rows, a row times B^-1 block by block, then the map's
+    # rows, whose block y is weights[y] times B^-1's row
+    T[k * m : R, :n] = (normals.reshape(-1, k, 2) @ inv).reshape(-1, n)
+    T[k * m : R, n] = offsets - normals @ np.concatenate((x0,) * k)
+    T[R:, :n] = (inv[:, None, :] * weights[:, None]).reshape(2, n)
+    T[R:, n] = -weights.sum() * x0
     basis = [y * m + r for y in range(k) for r in start]
     band = tol.eps * np.maximum(1.0, np.abs(np.concatenate((offsets2,) * k + (offsets,))))
     limit = 10 * (R + n) + 100  # a guard: the walk ends long before

@@ -7,16 +7,19 @@ Run from the repository root:
 
 Each line gives a run, its iteration count, its stop reason, and the
 SHA-256 over the C-contiguous float64 bytes of every `trace[k].vertices`,
-in order from k = 0.  Two trees that print the same lines produced
-bit-identical iterates.  After printing, the script names each run whose
-line differs from EXPECTED and exits 1; a change that means to move an
+in order from k = 0.  Two trees that print the same hashes produced
+bit-identical iterates.  Each line then gives the run's calls into the
+shadow walk and their pivots in total, which EXPECTED does not hold.
+After printing, the script names each run whose count, reason or hash
+differs from EXPECTED and exits 1; a change that means to move an
 iterate updates EXPECTED in the same commit.  The five runs take about
 7 s together on a 2-CPU machine, 6.5 s of it in the exact PD run (44
 applications, with iterates of up to 1,237 vertices).  The file is not
 collected by pytest; `tests/test_aps.py` checks the four fast runs.
 
 With --against DIR, the five runs are also solved on DIR/src and every
-iterate is compared (`compare_against`); EXPECTED is not read.
+iterate is compared (`compare_against`); EXPECTED is not read.  The
+walks and pivots of both trees are printed for information only.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ppesolve import SolverConfig, parse_game, solve
+from ppesolve import SolverConfig, aps, parse_game, solve
 from ppesolve.geometry import PolygonV, hausdorff
 
 GAMES = Path(__file__).resolve().parents[1] / "games"
@@ -68,23 +71,47 @@ def iterate_hash(report) -> str:
     return h.hexdigest()
 
 
-def run_report(game_file, delta, theta, max_iter):
+def run_walks(game_file, delta, theta, max_iter):
+    """Solve one run; returns the report and the pivots of each walk.
+
+    The spy takes the walk's arguments as *args, so it works whatever
+    the walk's signature on the tree under test."""
     game = parse_game((GAMES / game_file).read_text(encoding="utf-8"))
-    return solve(game, SolverConfig(delta=delta, theta=theta, max_iter=max_iter))
+    pivots = []
+    walk = aps.shadow_polygon
+
+    def spy(*args):
+        result = walk(*args)
+        pivots.append(result[1])
+        return result
+
+    aps.shadow_polygon = spy
+    try:
+        report = solve(game, SolverConfig(delta=delta, theta=theta, max_iter=max_iter))
+    finally:
+        aps.shadow_polygon = walk
+    return report, pivots
 
 
-def run_line(game_file, delta, theta, max_iter) -> str:
-    """One run's line: iteration count, stop reason and iterate hash."""
-    report = run_report(game_file, delta, theta, max_iter)
+def report_line(report) -> str:
+    """A run's line: iteration count, stop reason and iterate hash."""
     return f"{report.iterations} iterations, {report.stop_reason}, {iterate_hash(report)}"
 
 
+def run_line(game_file, delta, theta, max_iter) -> str:
+    return report_line(run_walks(game_file, delta, theta, max_iter)[0])
+
+
+def walk_counts(pivots) -> str:
+    return f"{len(pivots)} walks, {sum(pivots)} pivots"
+
+
 def dump_runs(path: str) -> None:
-    """Pickle each run's iteration count, stop reason and iterates."""
+    """Pickle each run's iteration count, stop reason, iterates and walk pivots."""
     out = {}
     for name, *run in RUNS:
-        report = run_report(*run)
-        out[name] = (report.iterations, report.stop_reason, [t.vertices for t in report.trace])
+        report, pivots = run_walks(*run)
+        out[name] = (report.iterations, report.stop_reason, [t.vertices for t in report.trace], pivots)
     Path(path).write_bytes(pickle.dumps(out))
 
 
@@ -100,8 +127,9 @@ def compare_against(other: Path) -> int:
     The other tree's runs are made in a subprocess with `other`/src
     first on PYTHONPATH.  For each run, prints whether the iteration
     count and stop reason match, how many iterates differ in bytes, and
-    the worst Hausdorff distance between iterates of the same index.
-    Exits 1 if any iteration count or stop reason differs.
+    the worst Hausdorff distance between iterates of the same index,
+    then each tree's walks and pivots.  Exits 1 if any iteration count
+    or stop reason differs.
     """
     with tempfile.TemporaryDirectory() as tmp:
         dump = os.path.join(tmp, "runs.pickle")
@@ -110,9 +138,9 @@ def compare_against(other: Path) -> int:
         theirs = pickle.loads(Path(dump).read_bytes())
     differ = 0
     for name, *run in RUNS:
-        report = run_report(*run)
+        report, pivots = run_walks(*run)
         ours = [t.vertices for t in report.trace]
-        iterations, reason, vertices = theirs[name]
+        iterations, reason, vertices, their_pivots = theirs[name]
         same = (report.iterations, report.stop_reason) == (iterations, reason)
         differ += not same
         changed = sum(
@@ -123,7 +151,8 @@ def compare_against(other: Path) -> int:
             f"{name}: {'same' if same else 'DIFFERENT'} count and reason "
             f"({iterations} {reason} there, {report.iterations} {report.stop_reason} here); "
             f"{changed} of {min(len(ours), len(vertices))} iterates differ in bytes; "
-            f"worst Hausdorff distance {worst:.2g}",
+            f"worst Hausdorff distance {worst:.2g}; "
+            f"{walk_counts(their_pivots)} there, {walk_counts(pivots)} here",
             flush=True,
         )
     return 1 if differ else 0
@@ -142,8 +171,9 @@ def main() -> int:
         return compare_against(args.against)
     differ = []
     for name, *run in RUNS:
-        line = run_line(*run)
-        print(f"{name}: {line}", flush=True)
+        report, pivots = run_walks(*run)
+        line = report_line(report)
+        print(f"{name}: {line}; {walk_counts(pivots)}", flush=True)
         if line != EXPECTED[name]:
             differ.append(name)
     for name in differ:

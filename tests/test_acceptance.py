@@ -168,8 +168,9 @@ def test_criterion_07_vertex_enum_oracle(capsys):
     """The shadow walk's image of W^k cut by random rows, for k in 1..3
     and W a polygon, a segment or a point, against the hull of the image
     of the brute-force vertices: each row misses W^k, cuts it, or
-    excludes all of it.  The map has the payoff map's form, block y
-    being rho_y >= 0 times the identity."""
+    excludes all of it.  The walk takes random signal weights; the
+    oracle maps through kron(weights, I), whose block y is weights[y]
+    times the identity."""
     rng = np.random.default_rng(20240822)
     # the maps come from their own stream, so the systems stay those of rng
     maps = np.random.default_rng(20240823)
@@ -198,14 +199,14 @@ def test_criterion_07_vertex_enum_oracle(capsys):
                 "empty": lo[r] - rng.uniform(0.05, 0.5),
             }[kind]
             seen.add(kind)
-        M, c = np.kron(maps.dirichlet(np.ones(k)), np.eye(2)), maps.normal(size=2)
-        got, _ = shadow_polygon(w, k, normals, offsets, M, c, tol)
+        weights, c = maps.dirichlet(np.ones(k)), maps.normal(size=2)
+        got, _ = shadow_polygon(w, weights, normals, offsets, c, tol)
         prod = product_polytope(w, k)
         want = polytope_vertices_bruteforce(
             np.vstack([prod.normals, normals]), np.concatenate([prod.offsets, offsets])
         )
         seen.add((shape, k, "empty" if len(want) == 0 else "nonempty"))
-        ref = convex_hull(want @ M.T + c, tol)
+        ref = convex_hull(want @ np.kron(weights, np.eye(2)).T + c, tol)
         if not match_point_sets(got.vertices, ref.vertices, 1e-7):
             failures.append(f"trial {trial}: {got.num_vertices} vs oracle {ref.num_vertices}")
     missing = {"miss", "cut", "empty"} - seen

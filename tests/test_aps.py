@@ -13,7 +13,16 @@ from ppesolve.aps import (
     verify_enforceability,
 )
 from ppesolve.game import StageGame, individually_rational_set, pure_nash
-from ppesolve.geometry import PolygonV, Tolerances, area, contains_point, contains_polygon, convex_hull, hausdorff
+from ppesolve.geometry import (
+    DEFAULT_TOL,
+    PolygonV,
+    Tolerances,
+    area,
+    contains_point,
+    contains_polygon,
+    convex_hull,
+    hausdorff,
+)
 
 from iterate_hashes import EXPECTED, RUNS, run_line
 from oracles import match_point_sets
@@ -23,6 +32,13 @@ CC, CD, DC, DD = (0, 0), (0, 1), (1, 0), (1, 1)
 STOP_REASONS = {"area_epsilon", "hausdorff_epsilon", "max_iter", "empty_set"}
 # the pinned runs but the exact PD one, which takes about 6 s
 FAST_RUNS = [run for run in RUNS if run[0] != "pd delta=0.9 theta=0"]
+
+
+def payoffs(game, a, delta, w, tol=DEFAULT_TOL):
+    """P(a) against w from a freshly compiled system; an infeasible
+    profile compiles to None, and its P(a) is empty."""
+    system = aps.compile_profile(game, a, delta)
+    return (PolygonV.empty(), 0) if system is None else enforceable_payoffs(system, w, tol)
 
 
 @pytest.fixture(scope="module")
@@ -83,7 +99,7 @@ class TestIcConstraints:
 
 class TestEnforceablePayoffs:
     def test_cooperation_region_at_delta_09(self, pd_game, pd_w0):
-        p, pivots = enforceable_payoffs(pd_game, CC, 0.9, pd_w0)
+        p, pivots = payoffs(pd_game, CC, 0.9, pd_w0)
         assert pivots > 0  # both deviation rows cut W^2, so the walk runs
         assert match_point_sets(
             p.vertices,
@@ -92,23 +108,24 @@ class TestEnforceablePayoffs:
         )
 
     def test_empty_when_ic_infeasible(self, pd_game, pd_w0):
-        p, _ = enforceable_payoffs(pd_game, CC, 0.0, pd_w0)
-        assert p.is_empty
+        assert aps.compile_profile(pd_game, CC, 0.0) is None
+        res = apply_B(pd_game, 0.0, pd_w0)
+        assert res.per_action[("C", "C")].is_empty
 
     def test_static_nash_value_always_enforceable(self, pd_game, pd_w0):
         for delta in (0.0, 0.5, 0.9):
-            p, _ = enforceable_payoffs(pd_game, DD, delta, pd_w0)
+            p, _ = payoffs(pd_game, DD, delta, pd_w0)
             assert contains_point(p, (0.0, 0.0), 1e-9)
 
     def test_empty_continuation_set_gives_empty(self, pd_game):
         from ppesolve.geometry import PolygonV
 
-        p, pivots = enforceable_payoffs(pd_game, CC, 0.9, PolygonV.empty())
+        p, pivots = enforceable_payoffs(aps.compile_profile(pd_game, CC, 0.9), PolygonV.empty())
         assert p.is_empty and pivots == 0
 
     @pytest.mark.parametrize("profile", [CC, CD, DC, DD])
     def test_vertices_carry_certificates(self, pd_game, pd_w0, profile):
-        p, _ = enforceable_payoffs(pd_game, profile, 0.9, pd_w0)
+        p, _ = payoffs(pd_game, profile, 0.9, pd_w0)
         if p.is_empty:
             pytest.skip("profile not enforceable")
         for v in p.vertices:
@@ -122,7 +139,7 @@ class TestEnforceablePayoffs:
         # every point of P(a) is (1-d) u(a) + d gamma-bar with gamma-bar in W
         delta = 0.9
         for profile in (CC, CD, DC, DD):
-            p, _ = enforceable_payoffs(pd_game, profile, delta, pd_w0)
+            p, _ = payoffs(pd_game, profile, delta, pd_w0)
             u = pd_game.payoffs[profile]
             for v in p.vertices:
                 gamma_bar = (v - (1 - delta) * u) / delta
@@ -222,18 +239,23 @@ class TestCompiledProfiles:
         [("cournot_game", 0.5, 0.0, 36), ("pd_game", 0.9, 0.02, 39)],
     )
     def test_compiled_matches_fresh_call(self, request, monkeypatch, game_name, delta, theta, iterations):
+        """At every iterate, each system that solve passes gives what a
+        freshly compiled system gives."""
         game = request.getfixturevalue(game_name)
-        original = aps.enforceable_payoffs
+        original = aps.apply_B
         checked = []
 
-        def comparing(game, a, delta, w, tol, system):
-            got, pivots = original(game, a, delta, w, tol, system)
-            fresh, fresh_pivots = original(game, a, delta, w, tol)
-            assert byte_equal(got, fresh) and pivots == fresh_pivots, f"P{a} at iterate {len(checked)}"
-            checked.append(a)
-            return got, pivots
+        def comparing(game, delta, w, theta, tol, systems):
+            for a, system in zip(game.profiles(), systems):
+                if system is None:
+                    continue
+                got, pivots = enforceable_payoffs(system, w, tol)
+                fresh, fresh_pivots = enforceable_payoffs(aps.compile_profile(game, a, delta), w, tol)
+                assert byte_equal(got, fresh) and pivots == fresh_pivots, f"P{a} at call {len(checked)}"
+                checked.append(a)
+            return original(game, delta, w, theta, tol, systems)
 
-        monkeypatch.setattr(aps, "enforceable_payoffs", comparing)
+        monkeypatch.setattr(aps, "apply_B", comparing)
         rep = solve(game, SolverConfig(delta=delta, theta=theta))
         assert rep.iterations == iterations
         # a profile is computed up to and including its first empty P(a)
@@ -262,6 +284,10 @@ class TestSolverConfig:
             {"delta": 0.5, "max_iter": 3.0},
             {"delta": 0.5, "max_iter": float("nan")},
             {"delta": 0.5, "max_iter": float("inf")},
+            {"delta": 0.5, "max_iter": True},
+            {"delta": 0.5, "epsilon": True},
+            {"delta": False},
+            {"delta": 0.5, "theta": False},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -371,11 +397,11 @@ def nash_games():
     return games
 
 
-def hand_built_system(normals, offsets, M, c):
-    """A compiled profile over k kept blocks with the given rows and map."""
-    r, k = len(offsets), normals.shape[1] // 2
-    ic = aps.ICSystem(normals, offsets, tuple((0, j) for j in range(r)))
-    return aps.ProfileSystem(ic, np.arange(k), normals, np.zeros((r, 0, 2)), np.ones(r), M, c)
+def hand_built_system(normals, offsets, weights, c):
+    """A compiled profile over len(weights) kept blocks, with the given
+    rows and signal weights and nothing folded."""
+    r = len(offsets)
+    return aps.ProfileSystem(normals, offsets, np.zeros((r, 0, 2)), np.ones(r), weights, c)
 
 
 @pytest.fixture
@@ -412,12 +438,12 @@ class TestDiagonalClosedForm:
         checked = {True: 0, False: 0}
         for a in pure_nash(game):
             system = aps.compile_profile(game, a, delta)
-            folds = len(system.kept) < game.num_signals
+            folds = len(system.weights) < game.num_signals
             for k, t in enumerate(rep.trace):
                 w = PolygonV(t.vertices)
                 if w.is_empty:
                     continue
-                p, pivots = enforceable_payoffs(game, a, delta, w, tol, system)
+                p, pivots = enforceable_payoffs(system, w, tol)
                 want = convex_hull((1 - delta) * game.payoffs[a] + delta * w.vertices, tol)
                 assert hausdorff(p, want) <= tol.eps, f"P{a} at iterate {k}"
                 assert pivots == 0, f"P{a} walked at iterate {k}"
@@ -467,17 +493,17 @@ class TestDiagonalClosedForm:
             rho = rng.dirichlet(np.ones(k)) * (rng.random(k) > 0.3)
             if rho.sum() == 0:
                 rho[0] = 1.0
-            M, c = 0.8 * np.kron(rho / rho.sum(), np.eye(2)), rng.normal(size=2)
+            weights, c = 0.8 * (rho / rho.sum()), rng.normal(size=2)
             # every row cuts W^k: its greatest value there, a sum of
             # per-block maxima over W's vertices, exceeds its offset
             assert np.all((normals.reshape(-1, k, 2) @ w.vertices.T).max(axis=2).sum(axis=1) > offsets)
-            p, pivots = enforceable_payoffs(None, None, None, w, tol, hand_built_system(normals, offsets, M, c))
+            p, pivots = enforceable_payoffs(hand_built_system(normals, offsets, weights, c), w, tol)
             assert pivots == 0 and not walks, f"trial {trial}: walked"
             image = convex_hull(w.vertices * 0.8 + c)
             assert match_point_sets(p.vertices, image.vertices, 1e-12), f"trial {trial}"
             # a row held only within the band leaves the oracle, whose own
             # tolerance is wider, points on the edges of P(a)
-            assert hausdorff(p, reference(w, k, normals, offsets, M, c)) <= 1e-7, f"trial {trial}"
+            assert hausdorff(p, reference(w, weights, normals, offsets, c)) <= 1e-7, f"trial {trial}"
 
             # one more row, cutting off a single diagonal vertex other
             # than W's first by twice the band: the walk must run
@@ -490,7 +516,7 @@ class TestDiagonalClosedForm:
                     break
             b = dv[j] - 2 * tol.eps * max(1.0, abs(dv[j])) * (1 + 1e-6)
             normals2, offsets2 = np.vstack([normals, n]), np.append(offsets, b)
-            p, pivots = enforceable_payoffs(None, None, None, w, tol, hand_built_system(normals2, offsets2, M, c))
+            p, pivots = enforceable_payoffs(hand_built_system(normals2, offsets2, weights, c), w, tol)
             assert len(walks) == 1 and pivots > 0, f"trial {trial}: the cut diagonal vertex was not walked"
             walks.clear()
             # P(a) lies in c + delta W; the walk's band lets its vertices
@@ -512,16 +538,18 @@ class TestMonotoneSkip:
         apply_original, payoffs_original = aps.apply_B, aps.enforceable_payoffs
         calls = []  # (iterate, profile, empty) of the solve's own calls
         iterate, none_slots, fresh_call = [0], [0], [False]
+        profile_of = {}  # id of a system solve passes -> its profile
 
-        def spying(game, a, delta, w, tol, system):
-            p, pivots = payoffs_original(game, a, delta, w, tol, system)
+        def spying(system, w, tol):
+            p, pivots = payoffs_original(system, w, tol)
             if not fresh_call[0]:
-                calls.append((iterate[0], a, p.is_empty))
+                calls.append((iterate[0], profile_of[id(system)], p.is_empty))
             return p, pivots
 
         def comparing(game, delta, w, theta, tol, systems):
             iterate[0] += 1
             none_slots[0] += sum(s is None for s in systems)
+            profile_of.update((id(s), a) for a, s in zip(game.profiles(), systems) if s is not None)
             got = apply_original(game, delta, w, theta, tol, systems)
             fresh_call[0] = True
             fresh = apply_original(game, delta, w, theta, tol)

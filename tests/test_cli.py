@@ -125,6 +125,17 @@ class TestSolveCommand:
         assert "is not a finite number" in result.output
         assert "Traceback" not in result.output
 
+    @pytest.mark.parametrize(
+        "command", [["solve", "--delta", "0.9"], ["sweep", "--delta-grid", "0.5,0.9"]], ids=["solve", "sweep"]
+    )
+    def test_non_utf8_game_file_exits_one(self, tmp_path, command):
+        game = tmp_path / "latin1.json"
+        game.write_bytes(b"\xff{}")
+        result = run_cli([command[0], "--game", str(game), *command[1:], "--out", str(tmp_path)])
+        assert result.exit_code == 1
+        assert f"cannot read game file {game}: not UTF-8 text" in result.output
+        assert "Traceback" not in result.output
+
     def test_max_iter_exhaustion_exits_two(self, tmp_path, pd_game_path):
         result = run_cli(
             ["solve", "--game", str(pd_game_path), *PD_ARGS,

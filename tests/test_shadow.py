@@ -1,9 +1,11 @@
 """The shadow walk against the hull of the image of every vertex of Q.
 
-Q is W^k cut by extra rows.  The reference solves every choice of 2k
+Q is W^k cut by extra rows, and the walk maps it through
+x -> c + sum_y weights[y] x_y.  The reference solves every choice of 2k
 rows as equalities (`polytope_vertices_bruteforce`), keeps the feasible
-solutions, maps them through x -> M x + c and hulls the images.  It
-builds Q's rows with `product_polytope`, which the walk does not use.
+solutions, maps them through the matrix kron(weights, I) and hulls the
+images.  It builds Q's rows with `product_polytope`, which the walk does
+not use.
 
 The walk keeps its images in the CCW order it visits them instead of
 hulling them, so each test also checks that hulling its polygon again
@@ -25,12 +27,10 @@ PENTAGON = convex_hull([(0, 0), (2, -0.5), (3, 1), (1.5, 2.5), (-0.5, 1.5)])
 
 
 def payoff_map(rho, delta=0.8):
-    """The discounted-average map of `aps._payoff_map` for signal
-    probabilities rho (a zero marks a block the profile never emits)."""
-    k = len(rho)
-    M = np.zeros((2, 2 * k))
-    M[0, 0::2] = M[1, 1::2] = delta * np.asarray(rho, dtype=float)
-    return M, np.array([0.1, -0.2])
+    """The discounted-average map's weights delta * rho and offset, for
+    signal probabilities rho (a zero marks a block the profile never
+    emits)."""
+    return delta * np.asarray(rho, dtype=float), np.array([0.1, -0.2])
 
 
 def unit_rows(rows):
@@ -38,11 +38,12 @@ def unit_rows(rows):
     return rows / np.linalg.norm(rows, axis=1, keepdims=True)
 
 
-def reference(w, k, normals, offsets, M, c):
-    prod = product_polytope(w, k)
+def reference(w, weights, normals, offsets, c):
+    prod = product_polytope(w, len(weights))
     pts = polytope_vertices_bruteforce(
         np.vstack([prod.normals, normals]), np.concatenate([prod.offsets, offsets])
     )
+    M = np.kron(weights, np.eye(2))
     return PolygonV.empty() if len(pts) == 0 else convex_hull(pts @ M.T + c, TOL)
 
 
@@ -54,10 +55,10 @@ def assert_canonical(p):
     assert q.vertices.tobytes() == p.vertices.tobytes()
 
 
-def assert_matches_reference(w, k, normals, offsets, M, c):
-    p, _ = shadow_polygon(w, k, normals, offsets, M, c, TOL)
+def assert_matches_reference(w, weights, normals, offsets, c):
+    p, _ = shadow_polygon(w, weights, normals, offsets, c, TOL)
     assert_canonical(p)
-    ref = reference(w, k, normals, offsets, M, c)
+    ref = reference(w, weights, normals, offsets, c)
     assert p.is_empty == ref.is_empty
     if not ref.is_empty:
         assert p.num_vertices == ref.num_vertices
@@ -100,8 +101,9 @@ CASES = {
 @pytest.mark.parametrize("name", CASES)
 def test_matches_bruteforce_vertices(name):
     w, k, normals, offsets, rho = CASES[name]
-    M, c = payoff_map(rho)
-    p = assert_matches_reference(w, k, normals, offsets, M, c)
+    assert len(rho) == k
+    weights, c = payoff_map(rho)
+    p = assert_matches_reference(w, weights, normals, offsets, c)
     if name == "Q is empty":
         assert p.is_empty
     if name == "Q is a single point":
@@ -125,8 +127,8 @@ def test_random_systems(seed):
         lo, hi = vals.min(axis=2).sum(axis=1), vals.max(axis=2).sum(axis=1)
         offsets = lo + rng.uniform(-0.2, 1.2, size=rows) * (hi - lo)
         rho = rng.random(k) * (rng.random(k) > 0.3)
-        M, c = payoff_map(rho)
-        p = assert_matches_reference(w, k, normals, offsets, M, c)
+        weights, c = payoff_map(rho)
+        p = assert_matches_reference(w, weights, normals, offsets, c)
         kinds.add("empty" if p.is_empty else "nonempty")
     assert kinds == {"empty", "nonempty"}
 
@@ -151,33 +153,10 @@ def test_criterion_07_systems_are_canonical(monkeypatch, capsys):
 
 
 class TestMapForm:
-    """The start is optimal only when block y of M is rho_y >= 0 times
-    the identity, so any other map is refused."""
-
-    @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_dense_map_raises(self, k):
-        rng = np.random.default_rng(7300 + k)
-        with pytest.raises(ValueError, match="block y of M"):
-            shadow_polygon(PENTAGON, k, np.zeros((0, 2 * k)), np.zeros(0), rng.normal(size=(2, 2 * k)), np.zeros(2), TOL)
-
-    @pytest.mark.parametrize(
-        "M",
-        [
-            np.array([[0.5, 0.0, 0.5, 0.0], [0.0, 0.5, 0.0, -0.5]]),  # unequal diagonal
-            np.array([[0.5, 0.1, 0.5, 0.0], [0.0, 0.5, 0.0, 0.5]]),  # off-diagonal entry
-            np.kron([0.7, -0.2], np.eye(2)),  # negative weight
-            np.kron([0.7, 0.3, 0.0], np.eye(2)),  # three blocks for two
-            np.kron([0.7, np.nan], np.eye(2)),
-        ],
-        ids=["unequal diagonal", "off-diagonal entry", "negative weight", "wrong width", "nan"],
-    )
-    def test_other_maps_raise(self, M):
-        with pytest.raises(ValueError, match="block y of M"):
-            shadow_polygon(SQUARE, 2, SLAB, np.array([0.2, 0.1]), M, np.zeros(2), TOL)
+    """Weights of one to three blocks, some of them zero."""
 
     @pytest.mark.parametrize("rho", [(0.3, 0.7), (1.0, 0.0), (0.0, 0.5, 0.5), (0.0, 0.0)])
     def test_block_map_passes(self, rho):
         k = len(rho)
         normals = unit_rows(np.r_[1.0, -1.0, np.zeros(2 * k - 2)])
-        M = np.kron(rho, np.eye(2))
-        assert_matches_reference(PENTAGON, k, normals, np.array([0.3]), M, np.array([0.1, -0.2]))
+        assert_matches_reference(PENTAGON, np.array(rho), normals, np.array([0.3]), np.array([0.1, -0.2]))
