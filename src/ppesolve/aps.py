@@ -21,6 +21,11 @@ and stopping on an area-difference threshold yields an outer bound on
 the equilibrium payoff set; a profile whose payoff set comes back
 empty is not computed again, since the operator is monotone and each
 iterate lies in the last.
+
+The certificate `verify_enforceability` does not read these rows: it
+poses APS's conditions (continuations in W, the promise kept, no
+profitable one-shot deviation) from u, rho and delta itself, and shares
+only `geometry.halfspace_rows` with the solver.
 """
 
 from __future__ import annotations
@@ -40,33 +45,19 @@ from .geometry import (
     area,
     canonical_polygon,
     convex_hull,
+    halfspace_rows,
     hausdorff,
     intersect_polygons,
     rdp_simplify,
 )
 from .shadow import shadow_polygon
 # unused here, but perfbench/tracing.py probes aps.enumerate_product by name
-from .vertex_enum import enumerate_product, product_polytope  # noqa: F401
+from .vertex_enum import enumerate_product  # noqa: F401
 
 
 # once an iterate's area is below epsilon, the run has converged when
 # the Hausdorff distance between successive iterates is below this
 HAUSDORFF_EPSILON = 1e-6
-
-
-@dataclass(frozen=True)
-class ICSystem:
-    """Deviation inequalities for one profile, over continuation space.
-
-    Rows are in n.gamma <= b form with unit normals; a deviation whose
-    signal distribution matches the profile's collapses to a constant
-    row, which either drops out or marks the profile unenforceable.
-    """
-
-    normals: np.ndarray  # (r, 2S)
-    offsets: np.ndarray  # (r,)
-    labels: tuple  # (player index, deviation action index) per row
-    infeasible: bool = False
 
 
 @dataclass(frozen=True)
@@ -141,46 +132,6 @@ class Refusal:
     violation: float
 
 
-def ic_constraints(game: StageGame, a: tuple, delta: float) -> ICSystem:
-    """Deviation rows in continuation space for profile `a`.
-
-    Substituting the promised-value identity leaves, per player i and
-    deviation d: delta * sum_y (rho(y|a) - rho(y|d-profile)) * gamma_i(y)
-    >= (1-delta) * (u_i(d-profile) - u_i(a)).
-    """
-    S = game.num_signals
-    rho_a = game.signal_probs[a[0], a[1]]
-    u_a = game.payoffs[a[0], a[1]]
-    normals, offsets, labels = [], [], []
-    infeasible = False
-    zero_tol = 1e-12 * max(1.0, game.payoff_magnitude)
-    for i in (0, 1):
-        for d in range(game.num_actions[i]):
-            if d == a[i]:
-                continue
-            dev = (d, a[1]) if i == 0 else (a[0], d)
-            rho_d = game.signal_probs[dev[0], dev[1]]
-            gain = game.payoffs[dev[0], dev[1]][i] - u_a[i]
-            n = np.zeros(2 * S)
-            n[2 * np.arange(S) + i] = -delta * (rho_a - rho_d)
-            b = -(1.0 - delta) * gain
-            norm = float(np.linalg.norm(n))
-            if norm <= zero_tol:
-                if b < -zero_tol:
-                    infeasible = True
-                continue  # 0 <= b rows are vacuous
-            normals.append(n / norm)
-            offsets.append(b / norm)
-            labels.append((i, d))
-    if normals:
-        normals = np.array(normals)
-        offsets = np.array(offsets)
-    else:
-        normals = np.zeros((0, 2 * S))
-        offsets = np.zeros(0)
-    return ICSystem(normals, offsets, tuple(labels), infeasible)
-
-
 @dataclass(frozen=True)
 class ProfileSystem:
     """What P(a) needs of the stage game, compiled once per (game, a, delta).
@@ -210,34 +161,58 @@ def compile_profile(game: StageGame, a: tuple, delta: float) -> ProfileSystem | 
     None when a same-signal deviation is strictly profitable, so that
     P(a) is empty whatever W is.
 
+    Substituting the promised value out leaves, per player i and
+    deviation d, one row in continuation space: delta * sum_y
+    (rho(y|a) - rho(y|d-profile)) * gamma_i(y) >= (1-delta) *
+    (u_i(d-profile) - u_i(a)), scaled to unit length.  A deviation whose
+    signal distribution matches the profile's gives a zero row, which
+    drops out when the deviation does not gain.
+
     A signal that `a` never emits leaves the promised value alone; its
     coefficients, delta * rho(y|d) / |n| >= 0, sit on the deviating
     player's coordinate only.  Unless both players' rows reach it, its
     block drops out: when only player i's rows reach it, gamma(y) at
     player i's lowest payoff in W satisfies each of those rows at least
     as well as any other point of W, so that term moves into the
-    offsets.  When nothing folds, the rows are ic's own.
+    offsets.  When nothing folds, the rows stay as they are.
     """
-    ic = ic_constraints(game, a, delta)
-    if ic.infeasible:
-        return None
     S = game.num_signals
     rho = game.signal_probs[a[0], a[1]]
-    r = len(ic.offsets)
-    n = ic.normals.reshape(r, S, 2)
+    u_a = game.payoffs[a[0], a[1]]
+    zero_tol = 1e-12 * max(1.0, game.payoff_magnitude)
+    rows, offsets = [], []
+    for i in (0, 1):
+        for d in range(game.num_actions[i]):
+            if d == a[i]:
+                continue
+            dev = (d, a[1]) if i == 0 else (a[0], d)
+            gain = game.payoffs[dev][i] - u_a[i]
+            n = np.zeros(2 * S)
+            n[2 * np.arange(S) + i] = -delta * (rho - game.signal_probs[dev])
+            b = -(1.0 - delta) * gain
+            norm = float(np.linalg.norm(n))
+            if norm <= zero_tol:
+                if b < -zero_tol:
+                    return None
+                continue  # 0 <= b rows are vacuous
+            rows.append(n / norm)
+            offsets.append(b / norm)
+    r = len(offsets)
+    unfolded = np.array(rows).reshape(r, 2 * S)
+    n = unfolded.reshape(r, S, 2)
     reached = (n != 0).any(axis=0)  # (S, 2): player i's rows reach signal y
     kept = (rho > 0) | reached.all(axis=1)
     if kept.all():
-        normals, folded, norm = ic.normals, np.zeros((r, 0, 2)), np.ones(r)
+        normals, folded, norm = unfolded, np.zeros((r, 0, 2)), np.ones(r)
     else:
         folded = n[:, ~kept]
         normals = n[:, kept].reshape(r, 2 * kept.sum())
         # a row keeps a nonzero kept part: a deviation matching rho(.|a)
-        # on its support matches it everywhere, and ic_constraints dropped it
+        # on its support matches it everywhere, and gave a zero row above
         norm = np.linalg.norm(normals, axis=1)
         normals = normals / norm[:, None]
-    c = (1.0 - delta) * game.payoffs[a[0], a[1]]
-    return ProfileSystem(normals, ic.offsets, folded, norm, delta * rho[kept], c)
+    c = (1.0 - delta) * u_a
+    return ProfileSystem(normals, np.array(offsets), folded, norm, delta * rho[kept], c)
 
 
 def compile_profiles(game: StageGame, delta: float) -> tuple:
@@ -396,43 +371,48 @@ def solve(game: StageGame, config: SolverConfig) -> Report:
     return Report(tuple(trace), stop_reason, w, config, tol, message)
 
 
-def verify_enforceability(
-    game: StageGame,
-    a: tuple,
-    delta: float,
-    v,
-    w: PolygonV,
-    tol: Tolerances = DEFAULT_TOL,
-):
+def verify_enforceability(game: StageGame, a: tuple, delta: float, v, w: PolygonV):
     """Independent check: recover an explicit continuation mapping for v.
 
-    Solves the stacked feasibility system (continuations in W, deviation
-    rows, promised value pinned to v) with an LP that never touches the
-    shadow walk.  Returns a Certificate or a Refusal naming the
-    most-violated row.
+    Poses APS's conditions on one continuation pair gamma(y) per signal
+    from u, rho and delta alone: each gamma(y) lies in W; the promise is
+    kept, v = (1-delta) u(a) + delta sum_y rho(y|a) gamma(y); and no
+    one-shot deviation d of player i pays, delta sum_y rho(y|d-profile)
+    gamma_i(y) <= v_i - (1-delta) u_i(d-profile).  Of the solver it
+    shares only `halfspace_rows`, and it solves the system with an LP
+    that never touches the shadow walk.  Returns a Certificate or a
+    Refusal naming the most-violated row.
     """
     from scipy.optimize import linprog  # only this check needs scipy
 
     v = np.asarray(v, dtype=float).reshape(2)
+    if w.is_empty:
+        return Refusal("the continuation set is empty", float("inf"))
     S = game.num_signals
-    prod = product_polytope(w, S)
-    ic = ic_constraints(game, a, delta)
-    A_ub = np.vstack([prod.normals, ic.normals])
-    b_ub = np.concatenate([prod.offsets, ic.offsets])
-    row_names = [
-        f"continuation row {j % (prod.num_rows // S)} of signal "
-        f"{game.signal_labels[j // (prod.num_rows // S)]}"
-        for j in range(prod.num_rows)
-    ] + [
-        f"deviation of player {i + 1} to {game.action_labels[i][d]!r}"
-        for i, d in ic.labels
-    ]
-    # the promised value: v = (1-delta) u(a) + delta sum_y rho(y|a) gamma(y)
-    A_eq = np.kron(delta * game.signal_probs[a[0], a[1]], np.eye(2))
-    b_eq = v - (1.0 - delta) * game.payoffs[a[0], a[1]]
-    if ic.infeasible:
-        # a same-signal deviation is strictly profitable: no gamma helps
-        return Refusal("profile has a profitable undetectable deviation", float("inf"))
+    rho = delta * game.signal_probs[a[0], a[1]]
+    u = game.payoffs[a[0], a[1]]
+    normals, offsets = halfspace_rows(w)
+    m = len(offsets)
+    A_ub = [np.kron(np.eye(S), normals)]
+    b_ub = [np.tile(offsets, S)]
+    row_names = [f"continuation row {j % m} of signal {game.signal_labels[j // m]}" for j in range(m * S)]
+    for i in (0, 1):
+        for d in range(game.num_actions[i]):
+            if d == a[i]:
+                continue
+            dev = (d, a[1]) if i == 0 else (a[0], d)
+            rho_d = delta * game.signal_probs[dev]
+            if np.array_equal(rho_d, rho) and game.payoffs[dev][i] > u[i]:
+                # no gamma tells this deviation apart, and it gains
+                return Refusal("profile has a profitable undetectable deviation", float("inf"))
+            row = np.zeros((1, 2 * S))
+            row[0, i::2] = rho_d
+            A_ub.append(row)
+            b_ub.append([v[i] - (1.0 - delta) * game.payoffs[dev][i]])
+            row_names.append(f"deviation of player {i + 1} to {game.action_labels[i][d]!r}")
+    A_ub, b_ub = np.vstack(A_ub), np.concatenate(b_ub)
+    A_eq = np.kron(rho, np.eye(2))
+    b_eq = v - (1.0 - delta) * u
 
     dim = 2 * S
     res = linprog(

@@ -40,8 +40,22 @@ def _parse_emit(emit: str):
     return items
 
 
+def _config(delta, epsilon, theta, max_iter):
+    try:
+        return SolverConfig(delta=delta, epsilon=epsilon, theta=theta, max_iter=max_iter)
+    except ValueError as exc:
+        raise click.ClickException(str(exc))
+
+
+def _make_dir(path: Path):
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise click.ClickException(f"cannot write to {path}: {exc}")
+
+
 def _run_one(game, config, out_dir: Path, emits):
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _make_dir(out_dir)
     report = solve(game, config)
     if "report_json" in emits:
         write_report_json(report, out_dir / "report.json")
@@ -91,12 +105,7 @@ def cmd_solve(game_path, delta, epsilon, theta, max_iter, out, emit):
     """Run a single solve and write the selected artifacts."""
     emits = _parse_emit(emit)
     game = _load_game(game_path)
-    try:
-        config = SolverConfig(
-            delta=delta, epsilon=epsilon, theta=theta, max_iter=max_iter
-        )
-    except ValueError as exc:
-        raise click.ClickException(str(exc))
+    config = _config(delta, epsilon, theta, max_iter)
     report = _run_one(game, config, Path(out), emits)
     click.echo(_summary_line(report))
     sys.exit(_exit_code(report))
@@ -119,23 +128,21 @@ def cmd_sweep(game_path, delta_grid, epsilon, theta, max_iter, out, emit):
         values = [float(t) for t in tokens]
     except ValueError as exc:
         raise click.ClickException(f"bad delta grid: {exc}")
-    if any(not 0.0 <= v < 1.0 for v in values):
-        raise click.ClickException("delta values must lie in [0, 1)")
     if any(b <= a for a, b in zip(values, values[1:])):
         raise click.ClickException("delta grid must be strictly ascending")
 
+    # a bad delta or shared option fails here, as in solve, before any
+    # directory is made
+    configs = [_config(delta, epsilon, theta, max_iter) for delta in values]
     out_dir = Path(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _make_dir(out_dir)
     rows = ["delta,iterations,final_area,stop_reason"]
     worst = 0
-    for token, delta in zip(tokens, values):
-        sub = out_dir / f"delta_{token}"
+    for token, config in zip(tokens, configs):
         try:
-            config = SolverConfig(
-                delta=delta, epsilon=epsilon, theta=theta, max_iter=max_iter
-            )
-            report = _run_one(game, config, sub, emits)
+            report = _run_one(game, config, out_dir / f"delta_{token}", emits)
         except Exception as exc:  # record, keep sweeping
+            click.echo(f"delta={token}: error: {exc}", err=True)
             rows.append(f"{token},,,error: {exc}")
             worst = max(worst, 1)
             continue

@@ -1,9 +1,9 @@
 """Vertices of a product polytope W^k cut by extra rows.
 
 The solve path uses nothing here: P(a) comes from the shadow walk.
-`product_polytope` serves `aps.verify_enforceability`; the enumerator
-is used only by its own tests (`tests/test_vertex_enum.py`) and by the
-benchmark's probe on `aps.enumerate_product`.
+The enumerator and its `product_polytope` are used only by their own
+tests (`tests/test_vertex_enum.py`) and by the benchmark's probe on
+`aps.enumerate_product`.
 
 W is a 2-D polygon, so W^k (one copy per signal block) has the tuples of
 W's vertices as its vertices and is seeded from them directly, each

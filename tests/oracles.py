@@ -2,9 +2,10 @@
 
 Nothing in here shares code with the implementation under test: hulls
 come from per-point LPs, polytope vertices from equality-subset
-enumeration, and Hausdorff distances from dense boundary sampling.  The
-one exception is `clip_row_by_row`, which checks only the shortcut that
-`intersect_polygons` takes around the same per-row clip.
+enumeration, Hausdorff distances from dense boundary sampling, and
+deviation rows from the payoffs, signal probabilities and delta alone.
+The one exception is `clip_row_by_row`, which checks only the shortcut
+that `intersect_polygons` takes around the same per-row clip.
 """
 
 from __future__ import annotations
@@ -38,6 +39,36 @@ def hull_vertices_lp(points: np.ndarray, tol: float = 1e-9) -> np.ndarray:
         if res.status != 0:
             keep.append(k)
     return pts[keep]
+
+
+def deviation_rows(payoffs, signal_probs, a, delta):
+    """Every one-shot deviation from profile `a` as a row n . gamma <= b
+    over the 2S continuation coordinates, the promised value substituted
+    out: delta * sum_y (rho(y|dev) - rho(y|a)) * gamma_i(y) <= (1-delta) *
+    (u_i(a) - u_i(dev)).  Rows have unit length, but a deviation with
+    rho(.|a)'s own signal distribution keeps its zero row, with 0 <= b."""
+    payoffs = np.asarray(payoffs, dtype=float)
+    signal_probs = np.asarray(signal_probs, dtype=float)
+    S = signal_probs.shape[2]
+    normals, offsets = [], []
+    for i in (0, 1):
+        for d in range(payoffs.shape[i]):
+            if d == a[i]:
+                continue
+            dev = (d, a[1]) if i == 0 else (a[0], d)
+            n = np.zeros(2 * S)
+            n[i::2] = delta * (signal_probs[dev] - signal_probs[a])
+            b = (1.0 - delta) * (payoffs[a][i] - payoffs[dev][i])
+            norm = np.linalg.norm(n)
+            scale = norm if norm > 0 else 1.0
+            normals.append(n / scale)
+            offsets.append(b / scale)
+    return np.array(normals).reshape(-1, 2 * S), np.array(offsets)
+
+
+def product_rows(normals, offsets, k):
+    """W's rows (normals, offsets) on each of k coordinate blocks: W^k."""
+    return np.kron(np.eye(k), normals), np.tile(offsets, k)
 
 
 def polytope_vertices_bruteforce(

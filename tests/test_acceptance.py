@@ -30,9 +30,8 @@ from ppesolve.geometry import (
     intersect_polygons,
 )
 from ppesolve.shadow import shadow_polygon
-from ppesolve.vertex_enum import product_polytope
 
-from oracles import match_point_sets, polytope_vertices_bruteforce
+from oracles import match_point_sets, polytope_vertices_bruteforce, product_rows
 
 _CACHE = {}
 
@@ -201,9 +200,9 @@ def test_criterion_07_vertex_enum_oracle(capsys):
             seen.add(kind)
         weights, c = maps.dirichlet(np.ones(k)), maps.normal(size=2)
         got, _ = shadow_polygon(w, weights, normals, offsets, c, tol)
-        prod = product_polytope(w, k)
+        w_normals, w_offsets = product_rows(*halfspace_rows(w), k)
         want = polytope_vertices_bruteforce(
-            np.vstack([prod.normals, normals]), np.concatenate([prod.offsets, offsets])
+            np.vstack([w_normals, normals]), np.concatenate([w_offsets, offsets])
         )
         seen.add((shape, k, "empty" if len(want) == 0 else "nonempty"))
         ref = convex_hull(want @ np.kron(weights, np.eye(2)).T + c, tol)

@@ -7,8 +7,8 @@ from ppesolve.aps import (
     Refusal,
     SolverConfig,
     apply_B,
+    compile_profile,
     enforceable_payoffs,
-    ic_constraints,
     solve,
     verify_enforceability,
 )
@@ -66,35 +66,40 @@ def random_small_game(rng):
 
 
 class TestIcConstraints:
+    """The deviation rows `compile_profile` poses, over continuation space."""
+
     @pytest.mark.parametrize("delta", [0.3, 0.8, 0.9])
-    def test_mutual_cooperation_rows(self, pd_game, delta):
-        ic = ic_constraints(pd_game, CC, delta)
-        assert not ic.infeasible
-        assert set(ic.labels) == {(0, 1), (1, 1)}
-        assert np.allclose(np.linalg.norm(ic.normals, axis=1), 1.0)
+    def test_mutual_cooperation_rows(self, pd_game, pd_w0, delta):
+        system = compile_profile(pd_game, CC, delta)
+        assert system is not None and len(system.weights) == 2
+        assert np.allclose(np.linalg.norm(system.normals, axis=1), 1.0)
+        # one row per player, on that player's coordinates only
+        players = [set(np.flatnonzero(n) % 2) for n in system.normals]
+        assert players == [{0}, {1}]
         # each row must agree with delta/6 * (g_i(y1) - g_i(y2)) >= 1 - delta
         rng = np.random.default_rng(0)
-        for (i, _), n, b in zip(ic.labels, ic.normals, ic.offsets):
+        for i, n, b in zip((0, 1), system.normals, system.offsets(pd_w0)):
             for g in rng.uniform(-10, 10, size=(200, 4)):
                 lhs_ok = delta / 6 * (g[0 + i] - g[2 + i]) >= (1 - delta)
                 row_ok = n @ g <= b
                 assert lhs_ok == row_ok or abs(n @ g - b) < 1e-9
 
     def test_undetectable_profitable_deviation_is_infeasible(self, pd_game):
-        ic = ic_constraints(pd_game, CC, 0.0)
-        assert ic.infeasible
+        assert compile_profile(pd_game, CC, 0.0) is None
 
-    def test_vacuous_rows_dropped(self, pd_game):
+    def test_vacuous_rows_dropped(self, pd_game, pd_w0):
         # deviating from mutual defection never pays, and at delta=0 the
         # signal term vanishes, so no rows survive
-        ic = ic_constraints(pd_game, DD, 0.0)
-        assert not ic.infeasible
-        assert len(ic.offsets) == 0
+        system = compile_profile(pd_game, DD, 0.0)
+        assert system is not None
+        assert len(system.normals) == len(system.offsets(pd_w0)) == 0
 
     def test_cournot_row_count(self, cournot_game):
-        ic = ic_constraints(cournot_game, (0, 0), 0.9)
-        assert len(ic.offsets) == 4  # two deviations per player
-        assert ic.normals.shape == (4, 8)
+        system = compile_profile(cournot_game, (0, 0), 0.9)
+        w = individually_rational_set(cournot_game).individually_rational
+        assert len(system.offsets(w)) == 4  # two deviations per player
+        # over the kept blocks: (L, L) keeps one of the four signals
+        assert system.normals.shape == (4, 2 * len(system.weights)) == (4, 2)
 
 
 class TestEnforceablePayoffs:
@@ -157,6 +162,36 @@ class TestVerifyEnforceability:
         out = verify_enforceability(pd_game, CC, 0.0, (2.0, 2.0), pd_w0)
         assert isinstance(out, Refusal)
         assert out.violation == float("inf")
+
+    def test_refuses_undetectable_deviation_when_patient(self):
+        # player 1's deviation to a1 emits (a0, b)'s own signal
+        # distribution and gains 1, so at delta 0.9 no gamma deters it
+        probs = np.array([[[0.5, 0.5]], [[0.5, 0.5]]])
+        payoffs = np.array([[[0.0, 0.0]], [[1.0, 0.0]]])
+        game = StageGame((("a0", "a1"), ("b",)), payoffs, ("y0", "y1"), probs)
+        w = PolygonV(np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]]))
+        out = verify_enforceability(game, (0, 0), 0.9, (0.0, 0.0), w)
+        assert isinstance(out, Refusal)
+        assert out.violation == float("inf")
+
+    def test_refuses_empty_continuation_set(self, pd_game):
+        out = verify_enforceability(pd_game, DD, 0.9, (0.0, 0.0), PolygonV.empty())
+        assert out == Refusal("the continuation set is empty", float("inf"))
+
+    def test_does_not_use_the_solve_path(self, pd_game, pd_w0, monkeypatch):
+        """The certificate poses its own rows: it certifies the vertices
+        of P(C, C) with the solver's row builder and walk unavailable."""
+        p, _ = payoffs(pd_game, CC, 0.9, pd_w0)
+        assert p.num_vertices == 4
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the certificate called into the solve path")
+
+        monkeypatch.setattr(aps, "compile_profile", refuse)
+        monkeypatch.setattr(aps, "shadow_polygon", refuse)
+        for v in p.vertices:
+            out = verify_enforceability(pd_game, CC, 0.9, v, pd_w0)
+            assert isinstance(out, Certificate) and out.max_violation <= 1e-7
 
     def test_certificate_reconstructs_value(self, pd_game, pd_w0):
         delta = 0.9
@@ -227,9 +262,9 @@ class TestCompiledProfiles:
 
         def counting(game, a, delta):
             calls.append(a)
-            return ic_constraints(game, a, delta)
+            return compile_profile(game, a, delta)
 
-        monkeypatch.setattr(aps, "ic_constraints", counting)
+        monkeypatch.setattr(aps, "compile_profile", counting)
         rep = solve(cournot_game, SolverConfig(delta=0.5))
         assert rep.iterations == 36
         assert sorted(calls) == sorted(cournot_game.profiles())

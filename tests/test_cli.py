@@ -194,6 +194,48 @@ class TestSweepCommand:
             ["sweep", "--game", str(pd_game_path), "--delta-grid", "0.5,1.0"]
         )
         assert result.exit_code == 1
+        assert "Error: delta must lie in [0, 1)" in result.output
+
+
+class TestOutputErrors:
+    @pytest.mark.parametrize(
+        "command", [["solve", "--delta", "0.5"], ["sweep", "--delta-grid", "0.5,0.9"]], ids=["solve", "sweep"]
+    )
+    def test_out_naming_a_file_exits_one(self, tmp_path, pd_game_path, command):
+        target = tmp_path / "taken"
+        target.write_text("not a directory")
+        result = run_cli([command[0], "--game", str(pd_game_path), *command[1:], "--out", str(target)])
+        assert result.exit_code == 1
+        assert f"Error: cannot write to {target}: " in result.output
+        assert "Traceback" not in result.output
+        assert "iterations=" not in result.output  # no solve ran
+        assert target.read_text() == "not a directory"
+
+    def test_sweep_bad_shared_option_exits_one(self, tmp_path, pd_game_path):
+        out = tmp_path / "sweep"
+        result = run_cli(
+            ["sweep", "--game", str(pd_game_path), "--delta-grid", "0.3,0.5",
+             "--epsilon", "-1", "--out", str(out)]
+        )
+        assert result.exit_code == 1
+        assert "Error: epsilon must be positive" in result.output
+        assert not out.exists()
+
+    def test_sweep_echoes_each_recorded_error(self, tmp_path, pd_game_path):
+        out = tmp_path / "sweep"
+        out.mkdir()
+        (out / "delta_0.5").write_text("in the way")
+        result = run_cli(
+            ["sweep", "--game", str(pd_game_path), "--delta-grid", "0.5,0.9",
+             "--theta", "0.02", "--out", str(out)]
+        )
+        assert result.exit_code == 1
+        assert f"delta=0.5: error: cannot write to {out / 'delta_0.5'}: " in result.stderr
+        assert "delta=0.9: iterations=" in result.stdout
+        with open(out / "summary.csv", newline="") as f:
+            rows = list(csv.DictReader(f))
+        assert rows[0]["stop_reason"].startswith("error: cannot write to")
+        assert rows[1]["stop_reason"] == "area_epsilon"
 
 
 class TestDeterminism:

@@ -7,8 +7,10 @@ matches the walk on the same compiled system.
 
 The reference is posed on the unfolded problem (continuations on every
 signal block, all deviation rows) and solved as one LP per direction, or
-one LP for the least uniform relaxation of its rows, so it shares only
-the row builders with the shadow walk.
+one LP for the least uniform relaxation of its rows.  Its deviation rows
+come from `oracles.deviation_rows`, posed from the payoffs, the signal
+probabilities and delta alone, so it shares only `halfspace_rows`, W's
+own rows, with the solver.
 """
 
 import json
@@ -24,31 +26,45 @@ from ppesolve.aps import (
     apply_B,
     compile_profile,
     enforceable_payoffs,
-    ic_constraints,
     solve,
     verify_enforceability,
 )
 from ppesolve.game import StageGame, individually_rational_set
-from ppesolve.geometry import PolygonV, Tolerances, area, contains_point, convex_hull, hausdorff
+from ppesolve.geometry import (
+    PolygonV,
+    Tolerances,
+    area,
+    contains_point,
+    convex_hull,
+    halfspace_rows,
+    hausdorff,
+)
 from ppesolve.shadow import shadow_polygon
-from ppesolve.vertex_enum import product_polytope
 
+from oracles import deviation_rows, product_rows
 from test_aps import payoffs, walks  # noqa: F401 (walks is a fixture)
 
 ANGLES = 2 * np.pi * (np.arange(32) + 0.25) / 32
 DIRECTIONS = np.column_stack([np.cos(ANGLES), np.sin(ANGLES)])
 
 
+def game_rows(game, a, delta):
+    """The deviation rows of profile `a`, from the oracle."""
+    return deviation_rows(game.payoffs, game.signal_probs, a, delta)
+
+
 def unfolded_rows(game, a, delta, w):
     """W's rows on every signal block, then the deviation rows, as (A, b)."""
-    ic = ic_constraints(game, a, delta)
-    prod = product_polytope(w, game.num_signals)
-    return np.vstack([prod.normals, ic.normals]), np.concatenate([prod.offsets, ic.offsets])
+    dev_normals, dev_offsets = game_rows(game, a, delta)
+    normals, offsets = product_rows(*halfspace_rows(w), game.num_signals)
+    return np.vstack([normals, dev_normals]), np.concatenate([offsets, dev_offsets])
 
 
 def least_relaxation(game, a, delta, w):
     """The least t >= 0 for which A x <= b + t has a solution: how far the
-    unfolded problem is from feasible.  Every row has unit length."""
+    unfolded problem is from feasible.  Every row has unit length but
+    the zero row of a deviation that keeps `a`'s signal distribution,
+    which needs t >= -b."""
     A, b = unfolded_rows(game, a, delta, w)
     obj = np.zeros(A.shape[1] + 1)
     obj[-1] = 1.0
@@ -60,8 +76,6 @@ def least_relaxation(game, a, delta, w):
 
 def lp_support(game, a, delta, w):
     """Support values of the full-2S P(a) along DIRECTIONS; None if empty."""
-    if ic_constraints(game, a, delta).infeasible:
-        return None
     S = game.num_signals
     A, b = unfolded_rows(game, a, delta, w)
     M = np.kron(delta * game.signal_probs[a], np.eye(2))
@@ -77,13 +91,9 @@ def lp_support(game, a, delta, w):
 
 
 def assert_empty_when_infeasible(game, a, delta, w, p):
-    """P(a) is empty when the profile is infeasible or the unfolded
-    problem needs its rows relaxed by more than 1e-7 * scale; returns
-    whether either held.  Closer to the boundary, the LP's tolerance
-    cannot tell, and nothing is asserted."""
-    if ic_constraints(game, a, delta).infeasible:
-        assert p.is_empty, f"P{a} is not empty, the profile is infeasible"
-        return True
+    """P(a) is empty when the unfolded problem needs its rows relaxed by
+    more than 1e-7 * scale; returns whether it did.  Closer to the
+    boundary, the LP's tolerance cannot tell, and nothing is asserted."""
     t = least_relaxation(game, a, delta, w)
     if t <= 1e-7 * max(1.0, game.payoff_magnitude):
         return False
@@ -173,7 +183,7 @@ class TestCompleteness:
         tol = Tolerances().scaled(cournot_game.payoff_magnitude)
         res = apply_B(cournot_game, 0.9, w, 0.0, tol)
         for label, profile, v in ((("H", "M"), (2, 1), (1.5, 0.0)), (("H", "H"), (2, 2), (0.3, 0.7))):
-            cert = verify_enforceability(cournot_game, profile, 0.9, v, w, tol)
+            cert = verify_enforceability(cournot_game, profile, 0.9, v, w)
             assert isinstance(cert, Certificate) and cert.max_violation <= 1e-12
             assert contains_point(res.per_action[label], v, 1e-9)
 
@@ -206,8 +216,8 @@ class TestEmptiness:
 def fold_kinds(game, a):
     """For each signal `a` never emits: how many players' rows reach it."""
     rho = game.signal_probs[a[0], a[1]]
-    ic = ic_constraints(game, a, SPARSE_DELTA)
-    reached = (ic.normals.reshape(len(ic.offsets), -1, 2) != 0).any(axis=0)
+    normals, _ = game_rows(game, a, SPARSE_DELTA)
+    reached = (normals.reshape(len(normals), -1, 2) != 0).any(axis=0)
     return [int(reached[y].sum()) for y in np.flatnonzero(rho == 0)]
 
 
@@ -225,13 +235,14 @@ class TestFold:
         for w in ws:
             for a in game.profiles():
                 p, _ = payoffs(game, a, SPARSE_DELTA, w, tol)
-                ic = ic_constraints(game, a, SPARSE_DELTA)
-                if ic.infeasible:
+                normals, offsets = game_rows(game, a, SPARSE_DELTA)
+                zero = ~normals.any(axis=1)
+                if (offsets[zero] < 0).any():  # a same-signal deviation gains
                     assert p.is_empty
                     continue
                 weights = SPARSE_DELTA * game.signal_probs[a]
                 c = (1.0 - SPARSE_DELTA) * game.payoffs[a]
-                ref, _ = shadow_polygon(w, weights, ic.normals, ic.offsets, c, tol)
+                ref, _ = shadow_polygon(w, weights, normals[~zero], offsets[~zero], c, tol)
                 assert p.is_empty == ref.is_empty
                 if not ref.is_empty:
                     compared += 1
@@ -347,10 +358,10 @@ class TestClosedForm:
 
     def test_row_minimum_above_offset_is_empty(self):
         game = self.one_row_game(100.0)
-        ic = ic_constraints(game, (0, 0), 0.5)
-        assert len(ic.offsets) == 1
-        lowest = sum((ic.normals[0].reshape(2, 2) @ self.W.vertices.T).min(axis=1))
-        assert lowest > ic.offsets[0]
+        normals, offsets = game_rows(game, (0, 0), 0.5)
+        assert len(offsets) == 1
+        lowest = sum((normals[0].reshape(2, 2) @ self.W.vertices.T).min(axis=1))
+        assert lowest > offsets[0]
         p, _ = payoffs(game, (0, 0), 0.5, self.W)
         assert p.is_empty
 
@@ -366,7 +377,7 @@ class TestClosedForm:
 
     # profiles with no deviation row and a signal they never emit: the
     # 1x1 game has one profile; in the 2x1 game player 1's deviation at
-    # (B, C) loses and emits the same signal, so ic_constraints drops it
+    # (B, C) loses and emits the same signal, so its row is zero
     ROW_FREE_GAMES = {
         "1x1": ({"actions": [["A"], ["B"]], "payoffs": [[[-1, 2]]],
                  "signals": ["y0", "y1"], "signal_probs": [[[0, 1]]]}, (0, 0), (-1.0, 2.0)),
@@ -379,7 +390,8 @@ class TestClosedForm:
         spec, a, _ = self.ROW_FREE_GAMES[name]
         game = parse_game(json.dumps(spec))
         delta = 0.3
-        assert len(ic_constraints(game, a, delta).offsets) == 0
+        normals, offsets = game_rows(game, a, delta)
+        assert not normals.any() and (offsets >= 0).all()
         scale = max(1.0, game.payoff_magnitude)
         for w in (self.W, individually_rational_set(game).individually_rational):
             p, pivots = payoffs(game, a, delta, w)

@@ -4,8 +4,8 @@ Q is W^k cut by extra rows, and the walk maps it through
 x -> c + sum_y weights[y] x_y.  The reference solves every choice of 2k
 rows as equalities (`polytope_vertices_bruteforce`), keeps the feasible
 solutions, maps them through the matrix kron(weights, I) and hulls the
-images.  It builds Q's rows with `product_polytope`, which the walk does
-not use.
+images.  It builds W^k's rows with `oracles.product_rows`, which the
+walk does not use.
 
 The walk keeps its images in the CCW order it visits them instead of
 hulling them, so each test also checks that hulling its polygon again
@@ -15,11 +15,10 @@ changes no byte.
 import numpy as np
 import pytest
 
-from ppesolve.geometry import PolygonV, Tolerances, convex_hull, hausdorff
+from ppesolve.geometry import PolygonV, Tolerances, convex_hull, halfspace_rows, hausdorff
 from ppesolve.shadow import shadow_polygon
-from ppesolve.vertex_enum import product_polytope
 
-from oracles import polytope_vertices_bruteforce
+from oracles import polytope_vertices_bruteforce, product_rows
 
 TOL = Tolerances()
 SQUARE = convex_hull([(0, 0), (1, 0), (1, 1), (0, 1)])
@@ -39,9 +38,9 @@ def unit_rows(rows):
 
 
 def reference(w, weights, normals, offsets, c):
-    prod = product_polytope(w, len(weights))
+    w_normals, w_offsets = product_rows(*halfspace_rows(w), len(weights))
     pts = polytope_vertices_bruteforce(
-        np.vstack([prod.normals, normals]), np.concatenate([prod.offsets, offsets])
+        np.vstack([w_normals, normals]), np.concatenate([w_offsets, offsets])
     )
     M = np.kron(weights, np.eye(2))
     return PolygonV.empty() if len(pts) == 0 else convex_hull(pts @ M.T + c, TOL)
