@@ -87,7 +87,7 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class BResult:
-    set: PolygonV  # B(W), after optional boundary simplification
+    set: PolygonV  # B(W), or with theta > 0 a superset within theta of it
     per_action: dict  # profile label tuple -> PolygonV (possibly empty)
 
 
@@ -266,7 +266,8 @@ def apply_B(
 ) -> BResult:
     """One application of the set operator, with optional simplification.
 
-    Per-profile sets are computed and merged in fixed profile order.
+    Per-profile sets are computed and merged in fixed profile order;
+    theta > 0 widens the merged set B(W) by at most theta to drop vertices.
     `systems` holds `compile_profile(game, a, delta)` for each profile in
     that order; `solve` compiles them once, a call without them compiles
     its own.  A None in a profile's slot gives it the empty set without
@@ -298,6 +299,10 @@ def apply_B(
 def solve(game: StageGame, config: SolverConfig) -> Report:
     """Iterate the operator from W0 until the stop rule fires.
 
+    Each iterate is the operator's set clipped by the last.  The operator
+    is monotone and theta > 0 only widens B(W), so each iterate contains
+    the exact iterate of the same index, and the equilibrium payoff set.
+
     The area-difference rule applies while the iterate is
     full-dimensional at scale epsilon; once its area drops below epsilon
     the rule switches to a Hausdorff-distance threshold so collapse to a
@@ -328,9 +333,8 @@ def solve(game: StageGame, config: SolverConfig) -> Report:
         t0 = time.perf_counter()
         res = apply_B(game, config.delta, w, config.theta, tol, systems)
         wall_ms = (time.perf_counter() - t0) * 1e3
-        # boundary simplification trims vertices inward, so a later
-        # application of the operator may partially regrow past the
-        # previous iterate; clipping restores the monotone descent
+        # theta > 0 widens the set, which can then reach past w; the clip
+        # keeps the descent that the skip of empty profiles below relies on
         new = intersect_polygons(res.set, w, tol)
         a_prev, a_new = area(w), area(new)
         hd = hausdorff(w, new) if not new.is_empty else float("nan")

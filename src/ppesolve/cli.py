@@ -82,7 +82,7 @@ def _common_options(f):
     f = click.option("--epsilon", type=float, default=0.005, show_default=True,
                      help="area-difference stop threshold")(f)
     f = click.option("--theta", type=float, default=0.0, show_default=True,
-                     help="boundary simplification threshold (0 = off)")(f)
+                     help="outward simplification: widen sets by at most theta (0 = off)")(f)
     f = click.option("--max-iter", type=int, default=200, show_default=True)(f)
     f = click.option("--out", type=click.Path(), default=".", show_default=True,
                      help="output directory")(f)

@@ -309,48 +309,43 @@ def hausdorff(p: PolygonV, q: PolygonV) -> float:
     return float(max(d_pq, d_qp))
 
 
-def _rdp_chain(pts: np.ndarray, theta: float, eps: float) -> list:
-    """Standard recursive simplification of an open polyline.
-
-    The split is at the first vertex within eps of the farthest, so a
-    tie is not broken by rounding noise.
-    """
-    if len(pts) <= 2:
-        return list(pts)
-    a, b = pts[0], pts[-1]
-    d = _point_segment_dists(pts[1:-1], a[None], b[None])[:, 0]
-    top = d.max()
-    if top <= theta:
-        return [a, b]
-    k = int(np.argmax(d >= top - eps))
-    left = _rdp_chain(pts[: k + 2], theta, eps)
-    right = _rdp_chain(pts[k + 1 :], theta, eps)
-    return left[:-1] + right
-
-
 def rdp_simplify(p: PolygonV, theta: float, tol: Tolerances = DEFAULT_TOL) -> PolygonV:
-    """Boundary simplification keeping a subset of the original vertices.
+    """Outward simplification: a superset of p within Hausdorff distance theta.
 
-    The closed boundary is split into two open chains at two anchors,
-    which always survive: the vertex of least x and the vertex of
-    greatest x, with x compared to within eps and ties going to the
-    least and the greatest y.  With theta = 0 the polygon is returned
-    unchanged.
+    Dropping edge i, from v[i] to v[i+1], extends edges i-1 and i+1 to
+    their apex, which exists when they turn by less than pi.  Each round
+    drops edges nearest to p first, ties in cycle order, while the apex
+    lies within theta and no neighbour was dropped in the round, so each
+    apex stays valid.  The name predates the rule (inward Ramer-Douglas-
+    Peucker) and stays while `perfbench/tracing.py` probes it by name.
     """
     if theta < 0:
         raise ValueError("theta must be >= 0")
     if theta == 0 or p.num_vertices <= 3:
         return p
-    v = p.vertices
-    x, y = v[:, 0], v[:, 1]
-    lo = int(np.argmin(np.where(x <= x.min() + tol.eps, y, np.inf)))
-    hi = int(np.argmax(np.where(x >= x.max() - tol.eps, y, -np.inf)))
-    v = np.concatenate((v[lo:], v[:lo]))
-    hi = (hi - lo) % len(v)
-    chain1 = v[: hi + 1]
-    chain2 = np.vstack([v[hi:], v[:1]])
-    out = _rdp_chain(chain1, theta, tol.eps)[:-1] + _rdp_chain(chain2, theta, tol.eps)[:-1]
-    return convex_hull(out, tol)
+    v = p.vertices.tolist()
+    while len(v) > 3:
+        m, edges, apexes = len(v), [], []
+        for i in range(m):
+            (ax, ay), (bx, by), (cx, cy), (dx, dy) = v[i - 1], v[i], v[(i + 1) % m], v[(i + 2) % m]
+            ux, uy, wx, wy = bx - ax, by - ay, dx - cx, dy - cy
+            turn = ux * wy - uy * wx
+            if turn > 0.0:
+                t = ((cx - bx) * wy - (cy - by) * wx) / turn
+                edges.append(i)
+                apexes.append((bx + t * ux, by + t * uy))
+        d = _dists_to_polygon(np.array(apexes).reshape(-1, 2), p)
+        apex = {}
+        for j in np.argsort(d, kind="stable"):
+            if not d[j] <= theta:  # nan included
+                break
+            if (edges[j] - 1) % m not in apex and (edges[j] + 1) % m not in apex:
+                apex[edges[j]] = apexes[j]
+        if not apex:
+            break
+        # edge i's apex replaces v[i] and v[i+1]
+        v = [apex.get(i, x) for i, x in enumerate(v) if (i - 1) % m not in apex]
+    return p if len(v) == p.num_vertices else convex_hull(v, tol)
 
 
 def intersect_polygons(p: PolygonV, q: PolygonV, tol: Tolerances = DEFAULT_TOL) -> PolygonV:

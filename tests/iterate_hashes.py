@@ -51,12 +51,12 @@ RUNS = [
 
 
 EXPECTED = {
-    "pd delta=0.9 theta=0.02": "39 iterations, area_epsilon, "
-    "801e7f0576aac90679b53b45b74be28efa03abb34bce7c7b8b34929cce84b1a9",
+    "pd delta=0.9 theta=0.02": "44 iterations, area_epsilon, "
+    "96caea2b900f3364e61b33a0171e9ffa2f9d25d8a3921010a4b6ff9578d8af3a",
     "cournot delta=0.5 theta=0": "36 iterations, hausdorff_epsilon, "
     "6f53272257004c3991698dc0cd7ea681316a67495f328a429129b6693bd4d486",
     "cournot-patient delta=0.9 theta=0.05": "3 iterations, max_iter, "
-    "c18e1fe5bdca298a4c39ccd367f7e58c76fdcacaa71827b395e62a2cb03d306c",
+    "3bfdeb88604d7dfcf9c077d992d1f15a45f2fec5d34fb474832f217c9fb2cbe3",
     "pd delta=0.5 theta=0": "22 iterations, hausdorff_epsilon, "
     "79f35932500d0fd460d2d6194fa7117773c3abcf396ee97db3c0bfc0210ac316",
     "pd delta=0.9 theta=0": "44 iterations, area_epsilon, "

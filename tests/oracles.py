@@ -3,7 +3,8 @@
 Nothing in here shares code with the implementation under test: hulls
 come from per-point LPs, polytope vertices from equality-subset
 enumeration, Hausdorff distances from dense boundary sampling, and
-deviation rows from the payoffs, signal probabilities and delta alone.
+deviation rows and FLM's score bound from the payoffs, signal
+probabilities and delta alone.
 The one exception is `clip_row_by_row`, which checks only the shortcut
 that `intersect_polygons` takes around the same per-row clip.
 """
@@ -69,6 +70,38 @@ def deviation_rows(payoffs, signal_probs, a, delta):
 def product_rows(normals, offsets, k):
     """W's rows (normals, offsets) on each of k coordinate blocks: W^k."""
     return np.kron(np.eye(k), normals), np.tile(offsets, k)
+
+
+def profile_score(payoffs, signal_probs, a, lam):
+    """FLM's score of profile `a` in unit direction lam, -inf when no x
+    meets its rows: max lam . u(a) + sum_y rho(y|a) lam . x(y) over the
+    delta-free continuation units x in R^2S, subject to every deviation
+    row and lam . x(y) <= 0 for every signal y.  At delta = 1/2 the
+    deviation rows carry delta and 1 - delta alike, so
+    `deviation_rows(..., 0.5)` poses the delta-free rows up to scale."""
+    payoffs = np.asarray(payoffs, dtype=float)
+    signal_probs = np.asarray(signal_probs, dtype=float)
+    lam = np.asarray(lam, dtype=float)
+    S = signal_probs.shape[2]
+    normals, offsets = deviation_rows(payoffs, signal_probs, a, 0.5)
+    res = linprog(
+        -np.kron(signal_probs[a], lam),
+        A_ub=np.vstack([normals, np.kron(np.eye(S), lam)]),
+        b_ub=np.concatenate([offsets, np.zeros(S)]),
+        bounds=[(None, None)] * (2 * S),
+        method="highs",
+    )
+    if res.status == 2:
+        return -np.inf
+    assert res.status == 0, res.message
+    return float(lam @ payoffs[a] - res.fun)
+
+
+def score_bound(payoffs, signal_probs, lam):
+    """FLM's maximal score k*(lam), the largest `profile_score`: every
+    pure PPE payoff v, at every delta, has lam . v <= k*(lam)."""
+    n1, n2 = np.shape(payoffs)[:2]
+    return max(profile_score(payoffs, signal_probs, (i, j), lam) for i in range(n1) for j in range(n2))
 
 
 def polytope_vertices_bruteforce(

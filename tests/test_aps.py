@@ -21,6 +21,7 @@ from ppesolve.geometry import (
     contains_point,
     contains_polygon,
     convex_hull,
+    dist_point_polygon,
     hausdorff,
 )
 
@@ -220,11 +221,14 @@ class TestApplyB:
         assert contains_polygon(pd_w0, res.set, 1e-7)
         assert area(res.set) < area(pd_w0)
 
-    def test_simplification_never_grows(self, pd_game, pd_w0):
-        plain = apply_B(pd_game, 0.9, pd_w0)
-        trimmed = apply_B(pd_game, 0.9, pd_w0, theta=0.1)
-        assert trimmed.set.num_vertices <= plain.set.num_vertices
-        assert contains_polygon(plain.set, trimmed.set, 1e-9)
+    def test_simplification_never_shrinks(self, pd_game, pd_w0):
+        # on B(W0) nothing drops at theta = 0.1; on B(B(W0)) edges do
+        w = apply_B(pd_game, 0.9, pd_w0).set
+        plain = apply_B(pd_game, 0.9, w)
+        trimmed = apply_B(pd_game, 0.9, w, theta=0.1)
+        assert trimmed.set.num_vertices < plain.set.num_vertices
+        assert contains_polygon(trimmed.set, plain.set, 1e-9)
+        assert hausdorff(plain.set, trimmed.set) <= 0.1 + 1e-9
 
     @pytest.mark.parametrize("seed", range(15))
     def test_monotone_in_continuation_set(self, seed):
@@ -271,7 +275,7 @@ class TestCompiledProfiles:
 
     @pytest.mark.parametrize(
         "game_name, delta, theta, iterations",
-        [("cournot_game", 0.5, 0.0, 36), ("pd_game", 0.9, 0.02, 39)],
+        [("cournot_game", 0.5, 0.0, 36), ("pd_game", 0.9, 0.02, 44)],
     )
     def test_compiled_matches_fresh_call(self, request, monkeypatch, game_name, delta, theta, iterations):
         """At every iterate, each system that solve passes gives what a
@@ -298,7 +302,7 @@ class TestCompiledProfiles:
             next((k for k, t in enumerate(rep.trace[1:], 1) if not t.enforceable[label]), iterations)
             for label in rep.trace[1].enforceable
         )
-        assert len(checked) == calls == {"cournot_game": 101, "pd_game": 156}[game_name]
+        assert len(checked) == calls == {"cournot_game": 101, "pd_game": 176}[game_name]
 
 
 class TestSolverConfig:
@@ -420,6 +424,33 @@ class TestSolve:
                     assert all(contains_point(w, v, 1e-7 * scale) for v in nash)
 
 
+# criteria 03 and 04: (game fixture, delta, theta)
+OUTER_RUNS = {"pd delta=0.9 theta=0.02": ("pd_game", 0.9, 0.02),
+              "cournot delta=0.9 theta=0.05": ("cournot_game", 0.9, 0.05)}
+
+
+@pytest.fixture(scope="module", params=list(OUTER_RUNS))
+def twin_runs(request):
+    """A theta > 0 run and its theta = 0 twin, run to the same count."""
+    game_name, delta, theta = OUTER_RUNS[request.param]
+    game = request.getfixturevalue(game_name)
+    coarse = solve(game, SolverConfig(delta=delta, theta=theta))
+    exact = solve(game, SolverConfig(delta=delta, max_iter=coarse.iterations))
+    return coarse, exact, max(1.0, game.payoff_magnitude)
+
+
+class TestOuterBound:
+    def test_every_iterate_holds_the_exact_iterate(self, twin_runs):
+        """B_theta(W) contains B(W) and B is monotone, so by induction,
+        clip included, each theta > 0 iterate contains the exact iterate
+        of the same index."""
+        coarse, exact, scale = twin_runs
+        assert len(exact.trace) == len(coarse.trace)
+        for outer, inner in zip(coarse.trace, exact.trace):
+            worst = max(dist_point_polygon(v, PolygonV(outer.vertices)) for v in inner.vertices)
+            assert worst <= 1e-7 * scale, (outer.iteration, worst)
+
+
 def nash_games():
     """The first 8 games of a seeded stream of small random games that
     have a pure stage Nash profile and a nonempty W0."""
@@ -486,7 +517,7 @@ class TestDiagonalClosedForm:
         return checked
 
     def test_criterion_03_pd(self, pd_game):
-        assert self.assert_nash_profiles_settle(pd_game, 0.9, 0.02) == {True: 0, False: 40}
+        assert self.assert_nash_profiles_settle(pd_game, 0.9, 0.02) == {True: 0, False: 45}
 
     def test_criterion_04_cournot(self, cournot_game):
         checked = self.assert_nash_profiles_settle(cournot_game, 0.9, 0.05)

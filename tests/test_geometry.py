@@ -481,17 +481,28 @@ class TestRdp:
         t = convex_hull([(0, 0), (4, 0), (1, 3)])
         assert np.array_equal(rdp_simplify(t, 10.0).vertices, t.vertices)
 
+    def test_square_unchanged(self):
+        # opposite edges are parallel, so no edge has an apex to drop to
+        sq = convex_hull([(0, 0), (1, 0), (1, 1), (0, 1)])
+        assert rdp_simplify(sq, 10.0) is sq
+
     @pytest.mark.parametrize("theta", [0.05, 0.2, 1.0])
     @pytest.mark.parametrize("seed", range(5))
-    def test_subset_containment_and_bound(self, theta, seed):
+    def test_superset_and_bound(self, theta, seed):
         p = random_hull(40, rng=np.random.default_rng(900 + seed))
         q = rdp_simplify(p, theta)
-        # vertex subset => hull containment => no larger area
-        for v in q.vertices:
-            assert min(np.linalg.norm(p.vertices - v, axis=1)) < 1e-12
-        assert area(q) <= area(p) + 1e-12
-        assert contains_polygon(p, q, 1e-9)
+        # edges are dropped outward: q holds p and lies within theta of it
+        assert contains_polygon(q, p, 1e-9)
         assert hausdorff(p, q) <= theta + 1e-9
+        assert area(q) >= area(p) - 1e-12
+        assert q.num_vertices <= p.num_vertices
+
+    def test_mirror_symmetric_polygon_stays_symmetric(self):
+        # symmetric in x -> -x, with the axis through two edges
+        p = convex_hull([[-1.1, -1.1], [1.1, -1.1], [0.8, 0.1], [0.4, 1.1], [-0.4, 1.1], [-0.8, 0.1]])
+        q = rdp_simplify(p, 0.75)
+        assert q.num_vertices < p.num_vertices
+        assert match_point_sets(q.vertices, q.vertices * [-1.0, 1.0], 1e-9)
 
     # a nudge of the order of rounding noise must not move the result:
     # at the left anchor (a vertex at x = 1e-17 against one at 0.0 on

@@ -1,6 +1,7 @@
-"""Known answers at delta > 0 that need no LP.
+"""Known answers at delta > 0, derived by hand or from the payoffs and
+signals alone.
 
-Each game is a literal here, with the payoffs of the shipped Prisoner's
+Most games are literals here, with the payoffs of the shipped Prisoner's
 Dilemma (C = cooperate, D = defect).  W0 is then conv{(0,0), (8/3,0),
 (2,2), (0,8/3)} and (D,D) is the only static Nash profile.
 """
@@ -11,7 +12,7 @@ import pytest
 from ppesolve.aps import SolverConfig, apply_B, solve
 from ppesolve.game import StageGame, individually_rational_set
 
-from oracles import match_point_sets
+from oracles import match_point_sets, profile_score, score_bound
 
 PD_PAYOFFS = np.array([[[2, 2], [-1, 3]], [[3, -1], [0, 0]]], dtype=float)
 PD_W0 = np.array([(0.0, 0.0), (8 / 3, 0.0), (2.0, 2.0), (0.0, 8 / 3)])
@@ -100,12 +101,43 @@ class TestPlayerSwapSymmetry:
         for t in rep.trace:
             assert mirrors_itself(t.vertices, rep.tolerances.eps), t.iteration
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="rdp_simplify is not mirror-equivariant: on B(W_2) it drops "
-        "(2.245, 1.045) and keeps its mirror (1.045, 2.245)",
-    )
     def test_criterion_03_iterates(self, pd_game):
         rep = solve(pd_game, SolverConfig(delta=0.9, theta=0.02))
         for t in rep.trace:
             assert mirrors_itself(t.vertices, rep.tolerances.eps), t.iteration
+
+
+class TestScoreBound:
+    """FLM's maximal score k*(lam) bounds every pure PPE payoff at every
+    delta: lam . v <= k*(lam).  Derived from the payoffs and rho alone
+    (`oracles.score_bound`), never from the solver.
+
+    For the shipped PD and lam = (1,1)/sqrt2, write x(y) for the
+    delta-free continuation units; each lam . x(y) <= 0.  At (C,D),
+    player 1's move to D gains 1 and moves rho(ybar) from 1/2 to 1/4, so
+    x1(ybar) - x1(ylow) >= 4; player 2's move to C loses 1, so
+    x2(ybar) - x2(ylow) <= 6.  The transfer x(ybar) = (2,-2),
+    x(ylow) = (-2,2) meets both with lam . x = 0, so (C,D) scores
+    lam . u = 2/sqrt2 = sqrt2, the most lam . x <= 0 allows; (D,C) the
+    same by symmetry.  At (C,C) each player's move to D gains 1 and
+    moves rho(ybar) from 2/3 to 1/2, so each x_i spreads by 6 and
+    lam . x(ylow) <= lam . x(ybar) - 6 sqrt2: the score is
+    4/sqrt2 - (1/3) 6 sqrt2 = 0.  (D,D) is stage Nash and scores 0.
+    So k* = sqrt2, and v1 + v2 <= 2 for every pure PPE payoff.
+    """
+
+    LAM = np.array([1.0, 1.0]) / np.sqrt(2.0)
+
+    def test_pd_diagonal_score_is_root_two(self, pd_game):
+        u, rho = pd_game.payoffs, pd_game.signal_probs
+        assert score_bound(u, rho, self.LAM) == pytest.approx(np.sqrt(2.0), abs=1e-9)
+        scores = {a: profile_score(u, rho, a, self.LAM) for a in np.ndindex(2, 2)}
+        assert scores == pytest.approx({(0, 0): 0.0, (0, 1): np.sqrt(2.0), (1, 0): np.sqrt(2.0), (1, 1): 0.0}, abs=1e-9)
+
+    def test_cournot_w0_lies_inside_q(self, cournot_game):
+        w0 = individually_rational_set(cournot_game).individually_rational
+        slack = 1e-9 * cournot_game.payoff_magnitude
+        for t in 2 * np.pi * np.arange(64) / 64:
+            lam = np.array([np.cos(t), np.sin(t)])
+            k = score_bound(cournot_game.payoffs, cournot_game.signal_probs, lam)
+            assert (w0.vertices @ lam).max() <= k + slack, t
