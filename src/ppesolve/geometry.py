@@ -382,4 +382,6 @@ def contains_polygon(outer: PolygonV, inner: PolygonV, slack: float = 1e-9) -> b
     """True when every vertex of `inner` lies in `outer` within slack."""
     if inner.is_empty:
         return True
-    return all(contains_point(outer, v, slack) for v in inner.vertices)
+    if outer.is_empty:
+        return False
+    return bool(_dists_to_polygon(inner.vertices, outer).max() <= slack)

@@ -1,24 +1,24 @@
-"""Fingerprints of five pinned solves, to check that a change keeps every iterate.
-
-Run from the repository root:
+"""The registry of pinned runs: seven solves, their iterates, walks and pivots.
 
     PYTHONPATH=src python3 tests/iterate_hashes.py
     PYTHONPATH=src python3 tests/iterate_hashes.py --against DIR
 
-Each line gives a run, its iteration count, its stop reason, and the
-SHA-256 over the C-contiguous float64 bytes of every `trace[k].vertices`,
-in order from k = 0.  Two trees that print the same hashes produced
-bit-identical iterates.  Each line then gives the run's calls into the
-shadow walk and their pivots in total, which EXPECTED does not hold.
-After printing, the script names each run whose count, reason or hash
-differs from EXPECTED and exits 1; a change that means to move an
-iterate updates EXPECTED in the same commit.  The five runs take about
-7 s together on a 2-CPU machine, 6.5 s of it in the exact PD run (44
-applications, with iterates of up to 1,237 vertices).  The file is not
-collected by pytest; `tests/test_aps.py` checks the four fast runs.
+Run from the repository root, the script prints for each run its
+iteration count, its stop reason, the SHA-256 over the C-contiguous
+float64 bytes of every `trace[k].vertices` from k = 0, and its calls
+into the shadow walk with their pivots in total.  It then names each
+run whose line differs from EXPECTED and exits 1; a change that means to
+move an iterate, a walk or a pivot updates EXPECTED in the same commit.
+The seven runs take about 5 s on a 2-CPU machine, nearly all of it in
+exact PD (44 applications, with iterates of up to 1,237 vertices).
 
-With --against DIR, the five runs are also solved on DIR/src and every
-iterate is compared (`compare_against`); EXPECTED is not read.  The
+The test suite solves each run once per session (`conftest.pinned_runs`),
+checks every line against EXPECTED, and reads the iterates of these
+configurations from there: iterate k does not depend on max_iter, so a
+prefix of a run serves a smaller max_iter.
+
+With --against DIR, the runs are also solved on DIR/src and every
+iterate is compared (`compare_against`); EXPECTED is not read, and the
 walks and pivots of both trees are printed for information only.
 """
 
@@ -47,20 +47,26 @@ RUNS = [
     ("cournot-patient delta=0.9 theta=0.05", "cournot.json", 0.9, 0.05, 3),
     ("pd delta=0.5 theta=0", "prisoners_dilemma.json", 0.5, 0.0, 200),
     ("pd delta=0.9 theta=0", "prisoners_dilemma.json", 0.9, 0.0, 200),
+    ("cournot delta=0.9 theta=0.05", "cournot.json", 0.9, 0.05, 200),
+    ("cournot delta=0.9 theta=0", "cournot.json", 0.9, 0.0, 200),
 ]
 
 
 EXPECTED = {
     "pd delta=0.9 theta=0.02": "44 iterations, area_epsilon, "
-    "96caea2b900f3364e61b33a0171e9ffa2f9d25d8a3921010a4b6ff9578d8af3a",
+    "96caea2b900f3364e61b33a0171e9ffa2f9d25d8a3921010a4b6ff9578d8af3a; 132 walks, 2133 pivots",
     "cournot delta=0.5 theta=0": "36 iterations, hausdorff_epsilon, "
-    "6f53272257004c3991698dc0cd7ea681316a67495f328a429129b6693bd4d486",
+    "6f53272257004c3991698dc0cd7ea681316a67495f328a429129b6693bd4d486; 65 walks, 682 pivots",
     "cournot-patient delta=0.9 theta=0.05": "3 iterations, max_iter, "
-    "3bfdeb88604d7dfcf9c077d992d1f15a45f2fec5d34fb474832f217c9fb2cbe3",
+    "3bfdeb88604d7dfcf9c077d992d1f15a45f2fec5d34fb474832f217c9fb2cbe3; 24 walks, 254 pivots",
     "pd delta=0.5 theta=0": "22 iterations, hausdorff_epsilon, "
-    "79f35932500d0fd460d2d6194fa7117773c3abcf396ee97db3c0bfc0210ac316",
+    "79f35932500d0fd460d2d6194fa7117773c3abcf396ee97db3c0bfc0210ac316; 3 walks, 7 pivots",
     "pd delta=0.9 theta=0": "44 iterations, area_epsilon, "
-    "a4c681c7cb6b77757044a93db8ad8e4df6708d5a63ae40d0c6768507241281cb",
+    "a4c681c7cb6b77757044a93db8ad8e4df6708d5a63ae40d0c6768507241281cb; 132 walks, 51320 pivots",
+    "cournot delta=0.9 theta=0.05": "24 iterations, area_epsilon, "
+    "ca3e5ac4e7b6c1ab8b1c619b7268745f6841f033e607cef8336f32ef83c69ca5; 192 walks, 2135 pivots",
+    "cournot delta=0.9 theta=0": "24 iterations, area_epsilon, "
+    "56f0fef929944d87a239c19b4fd5d2618aeec5752090c5f9eeba9b3bbef0027e; 192 walks, 2692 pivots",
 }
 
 
@@ -93,17 +99,13 @@ def run_walks(game_file, delta, theta, max_iter):
     return report, pivots
 
 
-def report_line(report) -> str:
-    """A run's line: iteration count, stop reason and iterate hash."""
-    return f"{report.iterations} iterations, {report.stop_reason}, {iterate_hash(report)}"
-
-
-def run_line(game_file, delta, theta, max_iter) -> str:
-    return report_line(run_walks(game_file, delta, theta, max_iter)[0])
-
-
 def walk_counts(pivots) -> str:
     return f"{len(pivots)} walks, {sum(pivots)} pivots"
+
+
+def report_line(report, pivots) -> str:
+    """A run's line: iteration count, stop reason, iterate hash, walks and pivots."""
+    return f"{report.iterations} iterations, {report.stop_reason}, {iterate_hash(report)}; {walk_counts(pivots)}"
 
 
 def dump_runs(path: str) -> None:
@@ -172,8 +174,8 @@ def main() -> int:
     differ = []
     for name, *run in RUNS:
         report, pivots = run_walks(*run)
-        line = report_line(report)
-        print(f"{name}: {line}; {walk_counts(pivots)}", flush=True)
+        line = report_line(report, pivots)
+        print(f"{name}: {line}", flush=True)
         if line != EXPECTED[name]:
             differ.append(name)
     for name in differ:

@@ -196,6 +196,11 @@ def match_point_sets(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
     return True
 
 
+def byte_equal(p, q) -> bool:
+    """Two polygons hold the same vertex array, byte for byte."""
+    return p.vertices.shape == q.vertices.shape and p.vertices.tobytes() == q.vertices.tobytes()
+
+
 def adjacent_pairs_loop(masks: np.ndarray, min_common: int) -> np.ndarray:
     """Combinatorial adjacency, one dominance test per candidate pair.
 

@@ -1,17 +1,15 @@
 """End-to-end acceptance checks.
 
 Each test prints exactly one PASS/FAIL line (visible even under output
-capture) and then asserts, so a failure is both loud and red.  Expensive
-solver runs are shared through a module-level cache.
+capture) and then asserts, so a failure is both loud and red.  The
+pinned runs come from the session registry (`conftest.pinned_runs`).
 """
 
 import json
-import re
 import subprocess
 import sys
 
 import numpy as np
-import pytest
 
 from ppesolve.aps import Certificate, SolverConfig, apply_B, solve, verify_enforceability
 from ppesolve.game import (
@@ -31,15 +29,8 @@ from ppesolve.geometry import (
 )
 from ppesolve.shadow import shadow_polygon
 
-from oracles import match_point_sets, polytope_vertices_bruteforce, product_rows
-
-_CACHE = {}
-
-
-def cached_solve(game, key, **cfg):
-    if key not in _CACHE:
-        _CACHE[key] = solve(game, SolverConfig(**cfg))
-    return _CACHE[key]
+from iterate_hashes import RUNS
+from oracles import byte_equal, match_point_sets, polytope_vertices_bruteforce, product_rows
 
 
 def announce(capsys, label, checks):
@@ -82,10 +73,10 @@ def test_criterion_01_pd_setup(pd_game, capsys):
     announce(capsys, "criterion 01: payoff-set setup", checks)
 
 
-def test_criterion_02_pd_impatient_collapse(pd_game, capsys):
+def test_criterion_02_pd_impatient_collapse(pd_game, pinned_runs, capsys):
     checks = []
-    for delta in (0.8, 0.5):
-        rep = cached_solve(pd_game, ("pd", delta, 0.0), delta=delta)
+    runs = {0.8: solve(pd_game, SolverConfig(delta=0.8)), 0.5: pinned_runs["pd delta=0.5 theta=0"][0]}
+    for delta, rep in runs.items():
         dists = np.linalg.norm(rep.final_set.vertices, axis=1)
         checks.append(
             (
@@ -96,8 +87,8 @@ def test_criterion_02_pd_impatient_collapse(pd_game, capsys):
     announce(capsys, "criterion 02: impatient collapse to static Nash", checks)
 
 
-def test_criterion_03_pd_patient_run(pd_game, capsys):
-    rep = cached_solve(pd_game, ("pd", 0.9, 0.02), delta=0.9, theta=0.02)
+def test_criterion_03_pd_patient_run(pinned_runs, capsys):
+    rep, _ = pinned_runs["pd delta=0.9 theta=0.02"]
     w0 = convex_hull(rep.trace[0].vertices)
     a = area(rep.final_set)
     checks = [
@@ -110,8 +101,8 @@ def test_criterion_03_pd_patient_run(pd_game, capsys):
     announce(capsys, "criterion 03: patient-run fixed point", checks)
 
 
-def test_criterion_04_cournot_patient_run(cournot_game, capsys):
-    rep = cached_solve(cournot_game, ("cournot", 0.9, 0.05), delta=0.9, theta=0.05)
+def test_criterion_04_cournot_patient_run(pinned_runs, capsys):
+    rep, _ = pinned_runs["cournot delta=0.9 theta=0.05"]
     w0_area = area(convex_hull(rep.trace[0].vertices))
     a = area(rep.final_set)
     checks = [
@@ -122,10 +113,10 @@ def test_criterion_04_cournot_patient_run(cournot_game, capsys):
     announce(capsys, "criterion 04: patient oligopoly run", checks)
 
 
-def test_criterion_05_cournot_impatient_collapse(cournot_game, capsys):
+def test_criterion_05_cournot_impatient_collapse(cournot_game, pinned_runs, capsys):
     nash = pure_nash(cournot_game)
     target = cournot_game.payoffs[nash[0]]
-    rep = cached_solve(cournot_game, ("cournot", 0.5, 0.0), delta=0.5)
+    rep, _ = pinned_runs["cournot delta=0.5 theta=0"]
     dists = np.linalg.norm(rep.final_set.vertices - target, axis=1)
     checks = [
         (nash == [(1, 1)] and target.tolist() == [10, 4], "Nash profile wrong"),
@@ -169,7 +160,9 @@ def test_criterion_07_vertex_enum_oracle(capsys):
     of the brute-force vertices: each row misses W^k, cuts it, or
     excludes all of it.  The walk takes random signal weights; the
     oracle maps through kron(weights, I), whose block y is weights[y]
-    times the identity."""
+    times the identity.  The walk keeps its images in the CCW order it
+    visits them, so its polygon must also be canonical: hulling it
+    again changes no byte."""
     rng = np.random.default_rng(20240822)
     # the maps come from their own stream, so the systems stay those of rng
     maps = np.random.default_rng(20240823)
@@ -200,6 +193,8 @@ def test_criterion_07_vertex_enum_oracle(capsys):
             seen.add(kind)
         weights, c = maps.dirichlet(np.ones(k)), maps.normal(size=2)
         got, _ = shadow_polygon(w, weights, normals, offsets, c, tol)
+        if not byte_equal(convex_hull(got.vertices, tol), got):
+            failures.append(f"trial {trial}: hulling the walk's polygon again moves it")
         w_normals, w_offsets = product_rows(*halfspace_rows(w), k)
         want = polytope_vertices_bruteforce(
             np.vstack([w_normals, normals]), np.concatenate([w_offsets, offsets])
@@ -218,6 +213,15 @@ def test_criterion_07_vertex_enum_oracle(capsys):
     )
 
 
+def prefix(pinned_runs, game_file, game, delta, theta, max_iter):
+    """A solve's trace to max_iter: a prefix of a pinned run of the same
+    game, delta and theta where one runs that far, else a fresh solve."""
+    for name, file, d, t, most in RUNS:
+        if (file, d, t) == (game_file, delta, theta) and most >= max_iter:
+            return pinned_runs[name][0].trace[: max_iter + 1]
+    return solve(game, SolverConfig(delta=delta, theta=theta, max_iter=max_iter)).trace
+
+
 # bounded prefixes: the invariants below hold per step, and the
 # unsimplified runs grow too many vertices to iterate to convergence
 _PREFIX = {
@@ -229,31 +233,28 @@ _PREFIX = {
 _PREFIX_OVERRIDE = {("cournot", 0.9, 0.02): 8}
 
 
-def test_criterion_08_descent_and_anchoring(pd_game, cournot_game, capsys):
+def test_criterion_08_descent_and_anchoring(pd_game, cournot_game, pinned_runs, capsys):
     checks = []
-    for name, game in (("pd", pd_game), ("cournot", cournot_game)):
+    for name, game_file, game in (
+        ("pd", "prisoners_dilemma.json", pd_game),
+        ("cournot", "cournot.json", cournot_game),
+    ):
         anchors = [game.payoffs[a] for a in pure_nash(game)]
         for delta in (0.5, 0.8, 0.9):
             for theta in (0.0, 0.02):
                 mi = _PREFIX_OVERRIDE.get(
                     (name, delta, theta), _PREFIX[(name, theta)]
                 )
-                rep = cached_solve(
-                    game,
-                    (name, delta, theta, mi),
-                    delta=delta,
-                    theta=theta,
-                    max_iter=mi,
-                )
+                trace = prefix(pinned_runs, game_file, game, delta, theta, mi)
                 tag = f"{name} d={delta} t={theta}"
-                sets = [convex_hull(t.vertices) for t in rep.trace]
+                sets = [convex_hull(t.vertices) for t in trace]
                 ok_nested = all(
                     contains_polygon(a, b, 1e-7) for a, b in zip(sets, sets[1:])
                 )
                 ok_anchor = all(
                     contains_point(s, u, 1e-7) for s in sets for u in anchors
                 )
-                areas = [t.area for t in rep.trace]
+                areas = [t.area for t in trace]
                 ok_area = all(b <= a + 1e-7 for a, b in zip(areas, areas[1:]))
                 checks.append((ok_nested, f"{tag}: iterate escapes predecessor"))
                 checks.append((ok_anchor, f"{tag}: Nash payoff left an iterate"))
@@ -340,13 +341,11 @@ def test_criterion_10_thread_determinism(pd_game_path, tmp_path, capsys):
     announce(capsys, "criterion 10: two-run byte determinism", checks)
 
 
-def test_simplification_tames_vertex_growth(pd_game, capsys):
+def test_simplification_tames_vertex_growth(pinned_runs, capsys):
     """Unsimplified iterates grow super-linearly; theta reins them in."""
-    sharp = cached_solve(
-        pd_game, ("pd", 0.9, 0.0, 10), delta=0.9, theta=0.0, max_iter=10
-    )
-    coarse = cached_solve(pd_game, ("pd", 0.9, 0.02), delta=0.9, theta=0.02)
-    counts = [len(t.vertices) for t in sharp.trace]
+    sharp, _ = pinned_runs["pd delta=0.9 theta=0"]
+    coarse, _ = pinned_runs["pd delta=0.9 theta=0.02"]
+    counts = [len(t.vertices) for t in sharp.trace[:11]]
     growth = np.diff(counts[:9])
     checks = [
         (len(counts) >= 11, "unsimplified run shorter than 10 iterations"),

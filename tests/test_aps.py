@@ -21,18 +21,23 @@ from ppesolve.geometry import (
     contains_point,
     contains_polygon,
     convex_hull,
-    dist_point_polygon,
     hausdorff,
+    _dists_to_polygon,
 )
 
-from iterate_hashes import EXPECTED, RUNS, run_line
-from oracles import match_point_sets
+from iterate_hashes import EXPECTED, RUNS, report_line
+from oracles import byte_equal, match_point_sets
 from test_shadow import reference
 
 CC, CD, DC, DD = (0, 0), (0, 1), (1, 0), (1, 1)
 STOP_REASONS = {"area_epsilon", "hausdorff_epsilon", "max_iter", "empty_set"}
-# the pinned runs but the exact PD one, which takes about 6 s
-FAST_RUNS = [run for run in RUNS if run[0] != "pd delta=0.9 theta=0"]
+# P(a) computations over a pinned run: solve skips a profile once its
+# P(a) is empty, which happens on cournot-collapse alone
+COMPUTED = {"cournot delta=0.5 theta=0": 101}
+
+
+def computed(name, report):
+    return COMPUTED.get(name, len(report.trace[1].enforceable) * report.iterations)
 
 
 def payoffs(game, a, delta, w, tol=DEFAULT_TOL):
@@ -253,10 +258,6 @@ class TestApplyB:
         assert first.set.vertices.tobytes() == again.set.vertices.tobytes()
 
 
-def byte_equal(p, q):
-    return p.vertices.shape == q.vertices.shape and p.vertices.tobytes() == q.vertices.tobytes()
-
-
 class TestCompiledProfiles:
     """solve compiles each profile's system once; every iterate then does
     only the W-dependent work, with the result a fresh call gives."""
@@ -274,13 +275,15 @@ class TestCompiledProfiles:
         assert sorted(calls) == sorted(cournot_game.profiles())
 
     @pytest.mark.parametrize(
-        "game_name, delta, theta, iterations",
-        [("cournot_game", 0.5, 0.0, 36), ("pd_game", 0.9, 0.02, 44)],
+        "game_name, name",
+        [("cournot_game", "cournot delta=0.5 theta=0"), ("pd_game", "pd delta=0.9 theta=0.02")],
+        ids=["cournot-collapse", "pd theta=0.02"],
     )
-    def test_compiled_matches_fresh_call(self, request, monkeypatch, game_name, delta, theta, iterations):
+    def test_compiled_matches_fresh_call(self, request, monkeypatch, pinned_runs, game_name, name):
         """At every iterate, each system that solve passes gives what a
         freshly compiled system gives."""
         game = request.getfixturevalue(game_name)
+        pinned, _ = pinned_runs[name]
         original = aps.apply_B
         checked = []
 
@@ -295,14 +298,14 @@ class TestCompiledProfiles:
             return original(game, delta, w, theta, tol, systems)
 
         monkeypatch.setattr(aps, "apply_B", comparing)
-        rep = solve(game, SolverConfig(delta=delta, theta=theta))
-        assert rep.iterations == iterations
+        rep = solve(game, pinned.config)
+        assert rep.iterations == pinned.iterations
         # a profile is computed up to and including its first empty P(a)
         calls = sum(
-            next((k for k, t in enumerate(rep.trace[1:], 1) if not t.enforceable[label]), iterations)
+            next((k for k, t in enumerate(rep.trace[1:], 1) if not t.enforceable[label]), rep.iterations)
             for label in rep.trace[1].enforceable
         )
-        assert len(checked) == calls == {"cournot_game": 101, "pd_game": 176}[game_name]
+        assert len(checked) == calls == computed(name, pinned)
 
 
 class TestSolverConfig:
@@ -339,8 +342,8 @@ class TestSolverConfig:
 
 
 class TestSolve:
-    def test_pd_high_discount(self, pd_game):
-        rep = solve(pd_game, SolverConfig(delta=0.9, theta=0.02))
+    def test_pd_high_discount(self, pinned_runs):
+        rep, _ = pinned_runs["pd delta=0.9 theta=0.02"]
         assert rep.converged and rep.stop_reason == "area_epsilon"
         assert rep.iterations == len(rep.trace) - 1
         assert rep.trace[0].area == pytest.approx(16 / 3, abs=1e-9)
@@ -353,8 +356,8 @@ class TestSolve:
         # the punishment payoff survives every round of cutting
         assert contains_point(rep.final_set, (0.0, 0.0), 1e-6)
 
-    def test_pd_low_discount_collapses(self, pd_game):
-        rep = solve(pd_game, SolverConfig(delta=0.5))
+    def test_pd_low_discount_collapses(self, pinned_runs):
+        rep, _ = pinned_runs["pd delta=0.5 theta=0"]
         assert rep.converged and rep.stop_reason == "hausdorff_epsilon"
         assert np.all(np.abs(rep.final_set.vertices) < 0.05)
 
@@ -371,14 +374,13 @@ class TestSolve:
         assert rep.iterations == 13
         assert np.array_equal(rep.final_set.vertices, rep.trace[-1].vertices)
 
-    @pytest.mark.parametrize("run", FAST_RUNS, ids=[run[0] for run in FAST_RUNS])
-    def test_iterates_match_pinned_hashes(self, run):
-        name, *args = run
-        assert run_line(*args) == EXPECTED[name]
+    @pytest.mark.parametrize("name", [run[0] for run in RUNS])
+    def test_iterates_match_pinned_hashes(self, pinned_runs, name):
+        assert report_line(*pinned_runs[name]) == EXPECTED[name]
 
-    def test_exact_cournot_known_answer(self, cournot_game):
+    def test_exact_cournot_known_answer(self, pinned_runs):
         # the same answer the vertex enumerator gave in about a minute
-        rep = solve(cournot_game, SolverConfig(delta=0.9))
+        rep, _ = pinned_runs["cournot delta=0.9 theta=0"]
         assert rep.stop_reason == "area_epsilon" and rep.iterations == 24
         assert area(rep.final_set) == pytest.approx(190.2176, abs=1e-3)
 
@@ -395,18 +397,18 @@ class TestSolve:
         assert rep.final_set.is_empty
         assert len(rep.trace) == 1
 
-    def test_trace_vertices_rebuild_each_iterate(self, pd_game):
-        rep = solve(pd_game, SolverConfig(delta=0.9, max_iter=5))
-        for prev, cur in zip(rep.trace, rep.trace[1:]):
+    def test_trace_vertices_rebuild_each_iterate(self, pinned_runs):
+        trace = pinned_runs["pd delta=0.9 theta=0"][0].trace[:6]
+        for prev, cur in zip(trace, trace[1:]):
             p = convex_hull(prev.vertices)
             c = convex_hull(cur.vertices)
             assert contains_polygon(p, c, 1e-7)
             assert cur.area == pytest.approx(area(c), abs=1e-12)
 
-    def test_theta_reduces_vertex_counts(self, pd_game):
-        sharp = solve(pd_game, SolverConfig(delta=0.9, max_iter=10))
-        coarse = solve(pd_game, SolverConfig(delta=0.9, theta=0.02, max_iter=10))
-        assert len(coarse.trace[-1].vertices) <= len(sharp.trace[-1].vertices)
+    def test_theta_reduces_vertex_counts(self, pinned_runs):
+        sharp, _ = pinned_runs["pd delta=0.9 theta=0"]
+        coarse, _ = pinned_runs["pd delta=0.9 theta=0.02"]
+        assert len(coarse.trace[10].vertices) <= len(sharp.trace[10].vertices)
 
     def test_small_random_games(self):
         rng = np.random.default_rng(1400)
@@ -424,31 +426,26 @@ class TestSolve:
                     assert all(contains_point(w, v, 1e-7 * scale) for v in nash)
 
 
-# criteria 03 and 04: (game fixture, delta, theta)
-OUTER_RUNS = {"pd delta=0.9 theta=0.02": ("pd_game", 0.9, 0.02),
-              "cournot delta=0.9 theta=0.05": ("cournot_game", 0.9, 0.05)}
-
-
-@pytest.fixture(scope="module", params=list(OUTER_RUNS))
-def twin_runs(request):
-    """A theta > 0 run and its theta = 0 twin, run to the same count."""
-    game_name, delta, theta = OUTER_RUNS[request.param]
-    game = request.getfixturevalue(game_name)
-    coarse = solve(game, SolverConfig(delta=delta, theta=theta))
-    exact = solve(game, SolverConfig(delta=delta, max_iter=coarse.iterations))
-    return coarse, exact, max(1.0, game.payoff_magnitude)
-
-
 class TestOuterBound:
-    def test_every_iterate_holds_the_exact_iterate(self, twin_runs):
+    @pytest.mark.parametrize(
+        "game_name, name, twin",
+        [("pd_game", "pd delta=0.9 theta=0.02", "pd delta=0.9 theta=0"),
+         ("cournot_game", "cournot delta=0.9 theta=0.05", "cournot delta=0.9 theta=0")],
+        ids=["pd delta=0.9 theta=0.02", "cournot delta=0.9 theta=0.05"],
+    )
+    def test_every_iterate_holds_the_exact_iterate(self, request, pinned_runs, game_name, name, twin):
         """B_theta(W) contains B(W) and B is monotone, so by induction,
-        clip included, each theta > 0 iterate contains the exact iterate
-        of the same index."""
-        coarse, exact, scale = twin_runs
-        assert len(exact.trace) == len(coarse.trace)
-        for outer, inner in zip(coarse.trace, exact.trace):
-            worst = max(dist_point_polygon(v, PolygonV(outer.vertices)) for v in inner.vertices)
-            assert worst <= 1e-7 * scale, (outer.iteration, worst)
+        clip included, each theta > 0 iterate (criteria 03 and 04)
+        contains the exact iterate of the same index."""
+        coarse, _ = pinned_runs[name]
+        exact, _ = pinned_runs[twin]
+        scale = max(1.0, request.getfixturevalue(game_name).payoff_magnitude)
+        assert len(exact.trace) >= len(coarse.trace)
+        worst, k = max(
+            (_dists_to_polygon(inner.vertices, PolygonV(outer.vertices)).max(), outer.iteration)
+            for outer, inner in zip(coarse.trace, exact.trace)
+        )
+        assert worst <= 1e-7 * scale, f"iterate {k} leaves the theta > 0 iterate by {worst:.3g}"
 
 
 def nash_games():
@@ -470,26 +467,12 @@ def hand_built_system(normals, offsets, weights, c):
     return aps.ProfileSystem(normals, offsets, np.zeros((r, 0, 2)), np.ones(r), weights, c)
 
 
-@pytest.fixture
-def walks(monkeypatch):
-    """The calls that reach the shadow walk, recorded."""
-    seen = []
-    original = aps.shadow_polygon
-
-    def recording(*args):
-        seen.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(aps, "shadow_polygon", recording)
-    return seen
-
-
 class TestDiagonalClosedForm:
     """When every row holds on the diagonal of W^k, the tuples that
     repeat one point of W, P(a) = (1-delta) u(a) + delta W with no pivot."""
 
     @staticmethod
-    def assert_nash_profiles_settle(game, delta, theta, max_iter=200):
+    def assert_nash_profiles_settle(game, rep):
         """On every iterate, each stage-Nash profile's P(a) is
         (1-delta) u(a) + delta W, without a pivot.
 
@@ -499,8 +482,7 @@ class TestDiagonalClosedForm:
         least as well as the diagonal's point, so those rows hold too.
         Returns the (profile, iterate) pairs checked, by whether a
         signal folds."""
-        rep = solve(game, SolverConfig(delta=delta, theta=theta, max_iter=max_iter))
-        tol = rep.tolerances
+        delta, tol = rep.config.delta, rep.tolerances
         checked = {True: 0, False: 0}
         for a in pure_nash(game):
             system = aps.compile_profile(game, a, delta)
@@ -516,15 +498,19 @@ class TestDiagonalClosedForm:
                 checked[folds] += 1
         return checked
 
-    def test_criterion_03_pd(self, pd_game):
-        assert self.assert_nash_profiles_settle(pd_game, 0.9, 0.02) == {True: 0, False: 45}
+    def test_criterion_03_pd(self, pd_game, pinned_runs):
+        rep, _ = pinned_runs["pd delta=0.9 theta=0.02"]
+        assert self.assert_nash_profiles_settle(pd_game, rep) == {True: 0, False: len(rep.trace)}
 
-    def test_criterion_04_cournot(self, cournot_game):
-        checked = self.assert_nash_profiles_settle(cournot_game, 0.9, 0.05)
-        assert checked[True] == 0 and checked[False] > 13
+    def test_criterion_04_cournot(self, cournot_game, pinned_runs):
+        rep, _ = pinned_runs["cournot delta=0.9 theta=0.05"]
+        assert self.assert_nash_profiles_settle(cournot_game, rep) == {True: 0, False: len(rep.trace)}
 
     def test_random_games(self):
-        checked = [self.assert_nash_profiles_settle(g, 0.8, 0.0, max_iter=10) for g in nash_games()]
+        checked = [
+            self.assert_nash_profiles_settle(g, solve(g, SolverConfig(delta=0.8, max_iter=10)))
+            for g in nash_games()
+        ]
         assert all(sum(c[folds] for c in checked) > 0 for folds in (True, False))
 
     @staticmethod
@@ -595,12 +581,15 @@ class TestMonotoneSkip:
     iterate is byte for byte what a fresh application gives."""
 
     @pytest.mark.parametrize(
-        "game_name, delta, theta, max_iter, skipped",
-        [("pd_game", 0.9, 0.02, 200, 0), ("cournot_game", 0.5, 0.0, 200, 223), ("cournot_game", 0.9, 0.05, 3, 0)],
+        "game_name, name",
+        [("pd_game", "pd delta=0.9 theta=0.02"), ("cournot_game", "cournot delta=0.5 theta=0"),
+         ("cournot_game", "cournot-patient delta=0.9 theta=0.05")],
         ids=["pd theta=0.02", "cournot-collapse", "cournot-patient"],
     )
-    def test_skip_matches_fresh_application(self, request, monkeypatch, game_name, delta, theta, max_iter, skipped):
+    def test_skip_matches_fresh_application(self, request, monkeypatch, pinned_runs, game_name, name):
         game = request.getfixturevalue(game_name)
+        pinned, _ = pinned_runs[name]
+        skipped = len(list(game.profiles())) * pinned.iterations - computed(name, pinned)
         apply_original, payoffs_original = aps.apply_B, aps.enforceable_payoffs
         calls = []  # (iterate, profile, empty) of the solve's own calls
         iterate, none_slots, fresh_call = [0], [0], [False]
@@ -628,8 +617,8 @@ class TestMonotoneSkip:
 
         monkeypatch.setattr(aps, "enforceable_payoffs", spying)
         monkeypatch.setattr(aps, "apply_B", comparing)
-        rep = solve(game, SolverConfig(delta=delta, theta=theta, max_iter=max_iter))
-        assert iterate[0] == rep.iterations and none_slots[0] == skipped
+        rep = solve(game, pinned.config)
+        assert iterate[0] == rep.iterations == pinned.iterations and none_slots[0] == skipped
         assert all(len(t.enforceable) == len(list(game.profiles())) for t in rep.trace[1:])
         first_empty = {}
         for k, a, empty in calls:

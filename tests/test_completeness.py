@@ -41,8 +41,8 @@ from ppesolve.geometry import (
 )
 from ppesolve.shadow import shadow_polygon
 
-from oracles import deviation_rows, product_rows
-from test_aps import payoffs, walks  # noqa: F401 (walks is a fixture)
+from oracles import byte_equal, deviation_rows, product_rows
+from test_aps import payoffs
 
 ANGLES = 2 * np.pi * (np.arange(32) + 0.25) / 32
 DIRECTIONS = np.column_stack([np.cos(ANGLES), np.sin(ANGLES)])
@@ -119,19 +119,10 @@ def assert_complete(game, delta, w, tol):
     return feasible
 
 
-def cournot_iterates(game, delta, iterations):
-    rep = solve(game, SolverConfig(delta=delta, theta=0.0, max_iter=iterations))
-    return [PolygonV(t.vertices) for t in rep.trace]
-
-
-@pytest.fixture(scope="module")
-def cournot_09_iterates(cournot_game):
-    return cournot_iterates(cournot_game, 0.9, 4)
-
-
-@pytest.fixture(scope="module")
-def cournot_05_iterates(cournot_game):
-    return cournot_iterates(cournot_game, 0.5, 8)
+def iterates(pinned_runs, name):
+    """A pinned run's iterates as polygons, and its tolerances."""
+    report, _ = pinned_runs[name]
+    return [PolygonV(t.vertices) for t in report.trace], report.tolerances
 
 
 def sparse_support_case(seed):
@@ -158,14 +149,14 @@ SPARSE_DELTA = 0.8
 
 class TestCompleteness:
     @pytest.mark.parametrize("k", range(5))
-    def test_cournot_patient(self, cournot_game, cournot_09_iterates, k):
-        tol = Tolerances().scaled(cournot_game.payoff_magnitude)
-        assert assert_complete(cournot_game, 0.9, cournot_09_iterates[k], tol) > 0
+    def test_cournot_patient(self, cournot_game, pinned_runs, k):
+        ws, tol = iterates(pinned_runs, "cournot delta=0.9 theta=0")
+        assert assert_complete(cournot_game, 0.9, ws[k], tol) > 0
 
     @pytest.mark.parametrize("k", range(9))
-    def test_cournot_impatient(self, cournot_game, cournot_05_iterates, k):
-        tol = Tolerances().scaled(cournot_game.payoff_magnitude)
-        assert assert_complete(cournot_game, 0.5, cournot_05_iterates[k], tol) > 0
+    def test_cournot_impatient(self, cournot_game, pinned_runs, k):
+        ws, tol = iterates(pinned_runs, "cournot delta=0.5 theta=0")
+        assert assert_complete(cournot_game, 0.5, ws[k], tol) > 0
 
     @pytest.mark.parametrize("seed", SPARSE_SEEDS)
     def test_sparse_support_games(self, seed):
@@ -174,13 +165,13 @@ class TestCompleteness:
         feasible = sum(assert_complete(game, SPARSE_DELTA, w, tol) for w in ws)
         assert feasible > 0
 
-    def test_roadmap_repro_payoffs_are_kept(self, cournot_game, cournot_09_iterates):
+    def test_roadmap_repro_payoffs_are_kept(self, cournot_game, pinned_runs):
         # Cournot at delta 0.9 after two applications: the LP certifies
         # both payoffs, and a hull that dropped a vertex below an
         # ULP-shifted column missed them by 0.66 and 0.64
-        w = cournot_09_iterates[2]
+        ws, tol = iterates(pinned_runs, "cournot delta=0.9 theta=0")
+        w = ws[2]
         assert w.num_vertices == 9
-        tol = Tolerances().scaled(cournot_game.payoff_magnitude)
         res = apply_B(cournot_game, 0.9, w, 0.0, tol)
         for label, profile, v in ((("H", "M"), (2, 1), (1.5, 0.0)), (("H", "H"), (2, 2), (0.3, 0.7))):
             cert = verify_enforceability(cournot_game, profile, 0.9, v, w)
@@ -195,19 +186,19 @@ class TestEmptiness:
     profile) pairs, and none on the other two runs."""
 
     @pytest.mark.parametrize(
-        "game_name, delta, theta, max_iter, empty",
-        [("pd_game", 0.9, 0.02, 200, 0), ("cournot_game", 0.5, 0.0, 200, 239),
-         ("cournot_game", 0.9, 0.05, 3, 0)],
+        "game_name, name, empty",
+        [("pd_game", "pd delta=0.9 theta=0.02", 0), ("cournot_game", "cournot delta=0.5 theta=0", 239),
+         ("cournot_game", "cournot-patient delta=0.9 theta=0.05", 0)],
         ids=["pd-patient", "cournot-collapse", "cournot-patient"],
     )
-    def test_benchmark_iterates(self, request, game_name, delta, theta, max_iter, empty):
+    def test_benchmark_iterates(self, request, pinned_runs, game_name, name, empty):
         game = request.getfixturevalue(game_name)
-        rep = solve(game, SolverConfig(delta=delta, theta=theta, max_iter=max_iter))
+        delta = pinned_runs[name][0].config.delta
+        ws, tol = iterates(pinned_runs, name)
         required = found = 0
-        for t in rep.trace:
-            w = PolygonV(t.vertices)
+        for w in ws:
             for a in game.profiles():
-                p, _ = payoffs(game, a, delta, w, rep.tolerances)
+                p, _ = payoffs(game, a, delta, w, tol)
                 required += assert_empty_when_infeasible(game, a, delta, w, p)
                 found += p.is_empty
         assert required == found == empty
@@ -265,9 +256,7 @@ class TestFold:
             for w in (w1, w2):
                 got, pivots = enforceable_payoffs(system, w, tol)
                 fresh, fresh_pivots = payoffs(game, a, SPARSE_DELTA, w, tol)
-                assert got.vertices.shape == fresh.vertices.shape
-                assert got.vertices.tobytes() == fresh.vertices.tobytes()
-                assert pivots == fresh_pivots
+                assert byte_equal(got, fresh) and pivots == fresh_pivots
 
     @staticmethod
     def blocks_kept(game, delta):
@@ -307,21 +296,6 @@ def assert_closed_form_matches_walk(game, delta, ws, tol, walks):
     return settled
 
 
-def solve_iterates(game, delta, theta):
-    rep = solve(game, SolverConfig(delta=delta, theta=theta))
-    return [PolygonV(t.vertices) for t in rep.trace], rep.tolerances
-
-
-@pytest.fixture(scope="module")
-def collapse_iterates(cournot_game):
-    return solve_iterates(cournot_game, 0.5, 0.0)  # the cournot-collapse benchmark
-
-
-@pytest.fixture(scope="module")
-def criterion_04_iterates(cournot_game):
-    return solve_iterates(cournot_game, 0.9, 0.05)
-
-
 class TestClosedForm:
     """P(a) = (1-delta) u(a) + delta W where every row holds on the
     diagonal of W^k: against the walk on the solver's runs and sparse
@@ -329,11 +303,13 @@ class TestClosedForm:
 
     W = PolygonV(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]))
 
-    def test_cournot_collapse_iterates(self, cournot_game, collapse_iterates, walks):
-        assert assert_closed_form_matches_walk(cournot_game, 0.5, *collapse_iterates, walks) > 0
+    def test_cournot_collapse_iterates(self, cournot_game, pinned_runs, walks):
+        ws, tol = iterates(pinned_runs, "cournot delta=0.5 theta=0")  # the cournot-collapse benchmark
+        assert assert_closed_form_matches_walk(cournot_game, 0.5, ws, tol, walks) > 0
 
-    def test_criterion_04_iterates(self, cournot_game, criterion_04_iterates, walks):
-        assert assert_closed_form_matches_walk(cournot_game, 0.9, *criterion_04_iterates, walks) > 0
+    def test_criterion_04_iterates(self, cournot_game, pinned_runs, walks):
+        ws, tol = iterates(pinned_runs, "cournot delta=0.9 theta=0.05")
+        assert assert_closed_form_matches_walk(cournot_game, 0.9, ws, tol, walks) > 0
 
     @pytest.mark.parametrize("seed", SPARSE_SEEDS)
     def test_sparse_support_games(self, seed, walks):

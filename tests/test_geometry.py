@@ -463,6 +463,28 @@ class TestHausdorff:
         assert hausdorff(sq, pt) == pytest.approx(np.hypot(2, 0.5), abs=1e-12)
 
 
+class TestContainsPolygon:
+    def test_empty_sets(self):
+        square = convex_hull([(0, 0), (1, 0), (1, 1), (0, 1)])
+        assert contains_polygon(square, PolygonV.empty()) and contains_polygon(PolygonV.empty(), PolygonV.empty())
+        assert not contains_polygon(PolygonV.empty(), square)
+
+    def test_agrees_with_each_vertex_distance(self):
+        """Outer polygons, segments and points, against some of their own
+        vertices pulled towards, or pushed away from, their mean."""
+        rng = np.random.default_rng(950)
+        seen = set()
+        for _ in range(40):
+            outer = convex_hull(rng.uniform(-2, 2, size=(int(rng.choice([1, 2, 8])), 2)))
+            v, mean = outer.vertices, outer.vertices.mean(axis=0)
+            inner = convex_hull(mean + rng.uniform(0.3, 1.3) * (v[rng.integers(len(v), size=3)] - mean))
+            for slack in (1e-9, 0.2):
+                want = all(dist_point_polygon(q, outer) <= slack for q in inner.vertices)
+                assert contains_polygon(outer, inner, slack) == want
+                seen.add((slack, want))
+        assert len(seen) == 4  # inside and outside at either slack
+
+
 class TestRdp:
     def test_theta_zero_is_identity(self):
         p = random_hull(30)

@@ -79,9 +79,9 @@ class TestPlayerSwapSymmetry:
     """A game unchanged by swapping the players has mirror-symmetric
     iterates."""
 
-    def test_exact_pd_iterates(self, pd_game):
-        rep = solve(pd_game, SolverConfig(delta=0.9, max_iter=8))
-        for t in rep.trace:
+    def test_exact_pd_iterates(self, pinned_runs):
+        rep, _ = pinned_runs["pd delta=0.9 theta=0"]
+        for t in rep.trace[:9]:
             assert mirrors_itself(t.vertices, rep.tolerances.eps), t.iteration
 
     @pytest.mark.parametrize("n", [2, 3])
@@ -101,8 +101,8 @@ class TestPlayerSwapSymmetry:
         for t in rep.trace:
             assert mirrors_itself(t.vertices, rep.tolerances.eps), t.iteration
 
-    def test_criterion_03_iterates(self, pd_game):
-        rep = solve(pd_game, SolverConfig(delta=0.9, theta=0.02))
+    def test_criterion_03_iterates(self, pinned_runs):
+        rep, _ = pinned_runs["pd delta=0.9 theta=0.02"]
         for t in rep.trace:
             assert mirrors_itself(t.vertices, rep.tolerances.eps), t.iteration
 

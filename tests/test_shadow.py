@@ -18,7 +18,7 @@ import pytest
 from ppesolve.geometry import PolygonV, Tolerances, convex_hull, halfspace_rows, hausdorff
 from ppesolve.shadow import shadow_polygon
 
-from oracles import polytope_vertices_bruteforce, product_rows
+from oracles import byte_equal, polytope_vertices_bruteforce, product_rows
 
 TOL = Tolerances()
 SQUARE = convex_hull([(0, 0), (1, 0), (1, 1), (0, 1)])
@@ -49,9 +49,7 @@ def reference(w, weights, normals, offsets, c):
 def assert_canonical(p):
     """Hulling p again changes no byte: p has no duplicate, flat or
     reflex vertex, and starts at its lexicographic minimum."""
-    q = convex_hull(p.vertices, TOL)
-    assert q.vertices.shape == p.vertices.shape
-    assert q.vertices.tobytes() == p.vertices.tobytes()
+    assert byte_equal(convex_hull(p.vertices, TOL), p)
 
 
 def assert_matches_reference(w, weights, normals, offsets, c):
@@ -130,25 +128,6 @@ def test_random_systems(seed):
         p = assert_matches_reference(w, weights, normals, offsets, c)
         kinds.add("empty" if p.is_empty else "nonempty")
     assert kinds == {"empty", "nonempty"}
-
-
-def test_criterion_07_systems_are_canonical(monkeypatch, capsys):
-    """The walk's polygons on criterion 07's 200 systems, taken from a
-    spy on the walk while that criterion runs, hull to themselves."""
-    import test_acceptance
-
-    polygons = []
-
-    def spy(*args):
-        p, pivots = shadow_polygon(*args)
-        polygons.append(p)
-        return p, pivots
-
-    monkeypatch.setattr(test_acceptance, "shadow_polygon", spy)
-    test_acceptance.test_criterion_07_vertex_enum_oracle(capsys)
-    assert len(polygons) == 200
-    for p in polygons:
-        assert_canonical(p)
 
 
 class TestMapForm:
