@@ -51,8 +51,15 @@ from .geometry import (
     rdp_simplify,
 )
 from .shadow import shadow_polygon
-# unused here, but perfbench/tracing.py probes aps.enumerate_product by name
-from .vertex_enum import enumerate_product  # noqa: F401
+
+
+def __getattr__(name):
+    # perfbench/tracing.py probes aps.enumerate_product by name; nothing
+    # here uses it, so it is imported on first access, off the solve path
+    if name != "enumerate_product":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .vertex_enum import enumerate_product
+    return enumerate_product
 
 
 # once an iterate's area is below epsilon, the run has converged when

@@ -6,13 +6,14 @@ near-coincident and collinear vertices removed.  Polygons are built by
 `convex_hull`, which applies the tolerance to its output vertex cycle
 only.  An empty vertex list encodes the empty set, one vertex a
 point, two vertices a segment.  Halfspace rows are derived from that
-form on demand (`halfspace_rows`).
+form on first use and kept on the polygon (`halfspace_rows`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -43,14 +44,39 @@ DEFAULT_TOL = Tolerances()
 
 @dataclass(frozen=True)
 class PolygonV:
-    """Convex polygon in canonical extreme-point form."""
+    """Convex polygon in canonical extreme-point form.  It owns a read-only
+    copy of its vertices, and keeps what it derives from them on itself."""
 
     vertices: np.ndarray  # (m, 2) float64
 
     def __post_init__(self):
-        v = np.asarray(self.vertices, dtype=float).reshape(-1, 2)
+        v = np.asarray(self.vertices, dtype=float).reshape(-1, 2).copy()
         v.setflags(write=False)
         object.__setattr__(self, "vertices", v)
+
+    @cached_property  # it writes __dict__, which the frozen dataclass leaves open
+    def _rows(self) -> tuple:
+        """`halfspace_rows` of a nonempty polygon, derived once."""
+        v = self.vertices
+        if self.is_point:
+            x, y = v[0]
+            normals = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+            offsets = np.array([x, -x, y, -y])
+        elif self.is_segment:
+            a, b = v
+            t = b - a
+            t = t / np.hypot(*t)
+            n = np.array([t[1], -t[0]])
+            normals = np.array([n, -n, t, -t])
+            offsets = np.array([n @ a, -(n @ a), t @ b, -(t @ a)])
+        else:
+            e = np.concatenate((v[1:], v[:1])) - v
+            normals = np.column_stack([e[:, 1], -e[:, 0]])
+            normals = normals / np.hypot(normals[:, 0], normals[:, 1])[:, None]
+            offsets = np.einsum("ij,ij->i", normals, v)
+        normals.setflags(write=False)
+        offsets.setflags(write=False)
+        return normals, offsets
 
     @property
     def num_vertices(self) -> int:
@@ -200,28 +226,13 @@ def halfspace_rows(p: PolygonV):
     A full-dimensional polygon gets one unit outward-normal row per edge.
     Points and segments are emitted as equality pairs (n.x <= b and
     -n.x <= -b) so that downstream polytope machinery never sees a
-    lower-dimensional set as a special case.  Returns (normals, offsets).
+    lower-dimensional set as a special case.  Returns (normals, offsets),
+    read-only arrays derived once per polygon and returned to every
+    later call.
     """
     if p.is_empty:
         raise ValueError("empty polygon has no halfspace form")
-    if p.is_point:
-        x, y = p.vertices[0]
-        normals = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
-        offsets = np.array([x, -x, y, -y])
-        return normals, offsets
-    if p.is_segment:
-        a, b = p.vertices
-        t = b - a
-        t = t / np.hypot(*t)
-        n = np.array([t[1], -t[0]])
-        normals = np.array([n, -n, t, -t])
-        offsets = np.array([n @ a, -(n @ a), t @ b, -(t @ a)])
-        return normals, offsets
-    v = p.vertices
-    e = np.concatenate((v[1:], v[:1])) - v
-    normals = np.column_stack([e[:, 1], -e[:, 0]])
-    normals = normals / np.hypot(normals[:, 0], normals[:, 1])[:, None]
-    return normals, np.einsum("ij,ij->i", normals, v)
+    return p._rows
 
 
 def intersect_halfplane(
@@ -276,7 +287,8 @@ def _point_segment_dists(q: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndar
 
 
 def _dists_to_polygon(qs: np.ndarray, p: PolygonV) -> np.ndarray:
-    """Distance from each point of qs (n, 2) to a nonempty convex polygon."""
+    """Distance from each point of qs (n, 2) to a nonempty convex polygon:
+    0 inside it, point-segment distances computed for the others alone."""
     if p.is_empty:
         raise ValueError("empty polygon")
     v = p.vertices
@@ -285,8 +297,11 @@ def _dists_to_polygon(qs: np.ndarray, p: PolygonV) -> np.ndarray:
     if p.is_segment:
         return _point_segment_dists(qs, v[:1], v[1:])[:, 0]
     normals, offsets = halfspace_rows(p)
-    d = _point_segment_dists(qs, v, np.concatenate((v[1:], v[:1]))).min(axis=1)
-    d[np.all(qs @ normals.T - offsets <= 0.0, axis=1)] = 0.0
+    outside = ~np.all(qs @ normals.T - offsets <= 0.0, axis=1)  # nan included
+    d = np.zeros(len(qs))
+    if outside.any():
+        ends = np.concatenate((v[1:], v[:1]))
+        d[outside] = _point_segment_dists(qs[outside], v, ends).min(axis=1)
     return d
 
 

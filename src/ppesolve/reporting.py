@@ -53,13 +53,14 @@ def report_to_dict(report: Report) -> dict:
 
 
 def write_report_json(report: Report, path) -> None:
+    """`report_to_dict` as one line of compact JSON, by the C encoder."""
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(report_to_dict(report), f, indent=2)
-        f.write("\n")
+        f.write(json.dumps(report_to_dict(report)) + "\n")
 
 
 def _vertex_dump(vertices) -> str:
-    return ";".join(f"{x!r}:{y!r}" for x, y in np.asarray(vertices).reshape(-1, 2))
+    # Python floats: the repr of a numpy scalar reads np.float64(...)
+    return ";".join(f"{x!r}:{y!r}" for x, y in np.asarray(vertices).reshape(-1, 2).tolist())
 
 
 def write_trace_csv(report: Report, path) -> None:

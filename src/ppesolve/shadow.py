@@ -28,6 +28,7 @@ from .geometry import PolygonV, Tolerances, canonical_polygon, halfspace_rows
 # angle of the first objective direction: any works, a generic one
 # meets fewer ties
 _PHI0 = 1.0
+_D = (math.cos(_PHI0), math.sin(_PHI0))
 # smallest tableau entry taken as a pivot
 _PIVOT = 1e-11
 # ratios and angles this close to the least count as tied (Bland's rule)
@@ -52,13 +53,36 @@ def _first(values: list, rows: list) -> int:
     return min(tied, key=rows.__getitem__)
 
 
-def _start_rows(w: PolygonV, normals2: np.ndarray, d: np.ndarray) -> tuple:
-    """Two of W's rows tight at W's maximiser of d, with d in their cone."""
-    if w.is_full_dim:
-        k = int(np.argmax(w.vertices @ d))
-        return ((k - 1) % w.num_vertices, k)
-    # a point or segment: rows 0 and 1, and rows 2 and 3, are opposite pairs
-    return (0 if normals2[0] @ d >= 0 else 1, 2 if normals2[2] @ d >= 0 else 3)
+def _w_side(w: PolygonV, k: int) -> tuple:
+    """W's side of the start tableau for k blocks: B^-1, x0, x0 in every
+    block, W's rows in every block (N B^-1 in the block's own columns and
+    the slacks b - N x0; the basic rows exactly e_p and 0) and the start
+    basis.  It depends on W's vertices alone: built once per polygon and
+    k, and kept in the polygon's __dict__ as cached_property would."""
+    memo = vars(w).setdefault("_walk_side", {})
+    if not memo:
+        normals2, offsets2 = halfspace_rows(w)
+        if w.is_full_dim:  # W's two rows tight at its maximiser of _D
+            i = int(np.argmax(w.vertices @ _D))
+            start = [(i - 1) % w.num_vertices, i]
+        else:  # a point or segment: rows 0 and 1, and rows 2 and 3, are opposite pairs
+            start = [0 if normals2[0] @ _D >= 0 else 1, 2 if normals2[2] @ _D >= 0 else 3]
+        inv = np.linalg.inv(normals2[start])
+        x0 = inv @ offsets2[start]
+        nb = normals2 @ inv
+        nb[start] = np.eye(2)
+        slack = offsets2 - normals2 @ x0
+        slack[start] = 0.0
+        memo[None] = start, inv, x0, nb, slack
+    if k not in memo:
+        start, inv, x0, nb, slack = memo[None]
+        m = len(slack)
+        top = np.zeros((k * m, 2 * k + 1))
+        for y in range(k):
+            top[y * m : (y + 1) * m, 2 * y : 2 * y + 2] = nb
+            top[y * m : (y + 1) * m, -1] = slack
+        memo[k] = inv, x0, np.tile(x0, k), top, [y * m + r for y in range(k) for r in start]
+    return memo[k]
 
 
 def shadow_polygon(w: PolygonV, weights, normals, offsets, c, tol: Tolerances):
@@ -67,8 +91,9 @@ def shadow_polygon(w: PolygonV, weights, normals, offsets, c, tol: Tolerances):
 
     Starts at the vertex of W^k that maximises a fixed direction, block
     by block: W's two rows tight at W's maximiser x0 in every block, so
-    the start basis inverts block by block with one 2x2 inverse.  That
-    start is optimal only because the weights are nonnegative.  It
+    the start basis inverts block by block with one 2x2 inverse; W's side
+    of it is built once per polygon and shared by every walk (`_w_side`).
+    That start is optimal only because the weights are nonnegative.  It
     restores the cut rows with dual-simplex pivots; when a violated row
     finds no row to leave, the polytope is empty.  Then it turns the
     direction once around the circle, which visits P(a)'s vertices in
@@ -79,52 +104,42 @@ def shadow_polygon(w: PolygonV, weights, normals, offsets, c, tol: Tolerances):
     """
     k = len(weights)
     n = 2 * k
-    normals2, offsets2 = halfspace_rows(w)
-    m = len(offsets2)
-    d = np.array([math.cos(_PHI0), math.sin(_PHI0)])
-    start = list(_start_rows(w, normals2, d))
-    inv = np.linalg.inv(normals2[start])
-    x0 = inv @ offsets2[start]
-    # W's rows, in every block: N B^-1 in the block's own columns, and
-    # slacks b - N x0; the basic rows are exactly e_p and 0
-    nb = normals2 @ inv
-    nb[start] = np.eye(2)
-    slack = offsets2 - normals2 @ x0
-    slack[start] = 0.0
-    R = k * m + len(offsets)
-    T = np.zeros((R + 2, n + 1))
-    for y in range(k):
-        T[y * m : (y + 1) * m, 2 * y : 2 * y + 2] = nb
-        T[y * m : (y + 1) * m, n] = slack
+    inv, x0, x0k, top, basis = _w_side(w, k)
+    basis = list(basis)
+    km = len(top)
+    R = km + len(offsets)
+    T = np.empty((R + 2, n + 1))
+    T[:km] = top
     # the deviation rows, a row times B^-1 block by block, then the map's
     # rows, whose block y is weights[y] times B^-1's row
-    T[k * m : R, :n] = (normals.reshape(-1, k, 2) @ inv).reshape(-1, n)
-    T[k * m : R, n] = offsets - normals @ np.concatenate((x0,) * k)
+    T[km:R, :n] = (normals.reshape(-1, k, 2) @ inv).reshape(-1, n)
+    T[km:R, n] = offsets - normals @ x0k
     T[R:, :n] = (inv[:, None, :] * weights[:, None]).reshape(2, n)
     T[R:, n] = -weights.sum() * x0
-    basis = [y * m + r for y in range(k) for r in start]
+    offsets2 = halfspace_rows(w)[1]
     band = tol.eps * np.maximum(1.0, np.abs(np.concatenate((offsets2,) * k + (offsets,))))
     limit = 10 * (R + n) + 100  # a guard: the walk ends long before
     pivots = 0
 
     # phase 1, dual simplex at d: the most violated row enters
+    d0, d1 = _D
     while True:
         j = int(np.argmin(T[:R, n] + band))
         if T[j, n] >= -band[j]:
             break
-        row = T[j, :n]
-        ps = np.flatnonzero(row > _PIVOT).tolist()
+        row = T[j, :n].tolist()
+        ps = [p for p in range(n) if row[p] > _PIVOT]
         if not ps:
             return PolygonV.empty(), pivots
-        y = d @ T[R:, :n]
-        p = ps[_first([max(y[p], 0.0) / row[p] for p in ps], [basis[p] for p in ps])]
-        _pivot(T, basis, j, p)
+        gu, gv = T[R:, :n].tolist()
+        ratios = [max(d0 * gu[p] + d1 * gv[p], 0.0) / row[p] for p in ps]
+        _pivot(T, basis, j, ps[_first(ratios, [basis[p] for p in ps])])
         pivots += 1
         if pivots > limit:
             raise RuntimeError("shadow walk: dual simplex exceeded its pivot bound")
 
     # phase 2: rotate the direction from _PHI0 once around the circle
-    images = [T[R:, n].copy()]
+    images = [T[R:, n].tolist()]
     phi, end = _PHI0, _PHI0 + 2 * math.pi
     while True:
         gu, gv = T[R:, :n].tolist()
@@ -151,7 +166,7 @@ def shadow_polygon(w: PolygonV, weights, normals, offsets, c, tol: Tolerances):
         if least == math.inf:
             raise RuntimeError("shadow walk: an edge of the polytope is unbounded")
         _pivot(T, basis, int(np.argmax(ratios <= least + _TIE * (1.0 + least))), p)
-        images.append(T[R:, n].copy())
+        images.append(T[R:, n].tolist())
         pivots += 1
         if pivots > limit:
             raise RuntimeError("shadow walk: rotation exceeded its pivot bound")

@@ -6,6 +6,7 @@ from scipy.spatial import ConvexHull
 from ppesolve.geometry import (
     PolygonV,
     Tolerances,
+    _dists_to_polygon,
     area,
     canonical_polygon,
     contains_polygon,
@@ -44,6 +45,21 @@ class TestTolerances:
         assert Tolerances().scaled(10) == Tolerances(1e-8)
         with pytest.raises(ValueError):
             Tolerances().scaled(float("inf"))
+
+
+class TestPolygonV:
+    def test_owns_its_vertices(self):
+        """Writing to the caller's array leaves the polygon as it was."""
+        a = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        p = PolygonV(a)
+        a[1, 0] = 5.0
+        same = PolygonV(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
+        assert p.vertices.tolist() == same.vertices.tolist()
+        assert area(p) == 0.5
+        for got, want in zip(halfspace_rows(p), halfspace_rows(same)):
+            assert got.tobytes() == want.tobytes()
+        with pytest.raises(ValueError):
+            p.vertices[0, 0] = 1.0
 
 
 class TestConvexHull:
@@ -238,6 +254,17 @@ class TestHalfspaceConversion:
                 & (np.abs(offsets - b_exp) < 1e-9)
             )
             assert hit, f"missing row {n_exp} <= {b_exp}"
+
+    @pytest.mark.parametrize("points", [[(0.5, -2.0)], [(0, 0), (2, 1)], [(0, 0), (1, 0), (1, 1), (0, 1)]])
+    def test_rows_are_derived_once_and_read_only(self, points):
+        p = convex_hull(points)
+        normals, offsets = halfspace_rows(p)
+        again = halfspace_rows(p)
+        assert again[0] is normals and again[1] is offsets
+        for a in again:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 1.0
 
     def test_degenerate_raises(self):
         # the empty set is the one polygon without a halfspace form
@@ -471,18 +498,27 @@ class TestContainsPolygon:
 
     def test_agrees_with_each_vertex_distance(self):
         """Outer polygons, segments and points, against some of their own
-        vertices pulled towards, or pushed away from, their mean."""
+        vertices pulled towards, or pushed away from, their mean, each by
+        its own factor, so that one inner set can mix points inside and
+        outside.  The distances of all its vertices at once, which skip
+        the inside ones, equal those of one vertex at a time."""
         rng = np.random.default_rng(950)
         seen = set()
+        mixed = 0
         for _ in range(40):
             outer = convex_hull(rng.uniform(-2, 2, size=(int(rng.choice([1, 2, 8])), 2)))
             v, mean = outer.vertices, outer.vertices.mean(axis=0)
-            inner = convex_hull(mean + rng.uniform(0.3, 1.3) * (v[rng.integers(len(v), size=3)] - mean))
+            pull = rng.uniform(0.3, 1.3, size=(3, 1))
+            inner = convex_hull(mean + pull * (v[rng.integers(len(v), size=3)] - mean))
+            each = [dist_point_polygon(q, outer) for q in inner.vertices]
+            assert _dists_to_polygon(inner.vertices, outer).tolist() == each
+            mixed += min(each) == 0.0 < max(each)
             for slack in (1e-9, 0.2):
-                want = all(dist_point_polygon(q, outer) <= slack for q in inner.vertices)
+                want = all(d <= slack for d in each)
                 assert contains_polygon(outer, inner, slack) == want
                 seen.add((slack, want))
         assert len(seen) == 4  # inside and outside at either slack
+        assert mixed >= 5
 
 
 class TestRdp:

@@ -1,5 +1,7 @@
-"""`final.svg` bytes for every shape of W0 and of the final set."""
+"""`final.svg` bytes for every shape of W0 and of the final set, and the
+`trace.csv` cells."""
 
+import csv
 import hashlib
 import math
 
@@ -8,7 +10,7 @@ import pytest
 
 from ppesolve.aps import IterationTrace, Report, SolverConfig
 from ppesolve.geometry import PolygonV, Tolerances
-from ppesolve.reporting import emit_svg
+from ppesolve.reporting import emit_svg, write_trace_csv
 
 POLYGON = [[0.0, 0.0], [3.0, 0.25], [2.5, 2.0], [-0.5, 1.5]]
 SEGMENT = [[0.5, 0.25], [2.0, 1.75]]
@@ -55,3 +57,19 @@ def test_svg_bytes_are_pinned(case, tmp_path):
     path = tmp_path / "final.svg"
     emit_svg(svg_report(w0, final), path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def test_trace_csv_cells_are_the_iterates(pinned_runs, tmp_path):
+    """Every numeric cell of trace.csv parses with float(), and each
+    vertices cell gives back its iterate exactly."""
+    report, _ = pinned_runs["pd delta=0.9 theta=0.02"]
+    path = tmp_path / "trace.csv"
+    write_trace_csv(report, path)
+    with open(path, newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert len(rows) == len(report.trace)
+    for row, t in zip(rows, report.trace):
+        for key in ("area", "area_diff", "hausdorff_diff", "wall_ms"):
+            float(row[key])
+        cells = [[float(x) for x in cell.split(":")] for cell in row["vertices"].split(";")]
+        assert np.array(cells).tobytes() == np.asarray(t.vertices).tobytes()

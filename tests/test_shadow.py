@@ -138,3 +138,24 @@ class TestMapForm:
         k = len(rho)
         normals = unit_rows(np.r_[1.0, -1.0, np.zeros(2 * k - 2)])
         assert_matches_reference(PENTAGON, np.array(rho), normals, np.array([0.3]), np.array([0.1, -0.2]))
+
+
+def test_walk_on_a_walked_polygon_equals_a_fresh_one():
+    """W's side of the start tableau is kept on the polygon, one block
+    layout per k.  A walk on a polygon already walked with other rows,
+    another k and another tol equals, byte for byte and pivot for pivot,
+    the same walk on a fresh polygon of the same vertices."""
+    w = convex_hull(PENTAGON.vertices)
+    coarse = Tolerances(1e-6)
+    for rho, rows, offsets in [
+        ((1.0,), [1.0, -1.0], [0.2]),
+        ((0.2, 0.3, 0.5), [-1, 0, 0.5, 0, 0.5, 1], [0.4]),
+    ]:
+        weights, c = payoff_map(rho)
+        shadow_polygon(w, weights, unit_rows(rows), np.array(offsets), c, coarse)
+    weights, c = payoff_map((0.3, 0.7))
+    system = (weights, unit_rows([[1, -1, 0.5, 1], [-1, 0, 0.5, 0]]), np.array([0.7, -0.3]), c, TOL)
+    got, pivots = shadow_polygon(w, *system)
+    want, fresh_pivots = shadow_polygon(PolygonV(PENTAGON.vertices), *system)
+    assert byte_equal(got, want) and pivots == fresh_pivots
+    assert pivots > 0 and got.num_vertices >= 3
