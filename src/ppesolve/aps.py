@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 import numbers
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -146,7 +146,8 @@ class ProfileSystem:
     P(a) is the image of W^k, cut by normals . x <= offsets(W), under
     x -> c + sum_y weights[y] x_y.  An iterate changes only W, so all
     of this stays fixed for a whole solve but the offsets of rows that
-    fold a signal, which follow W's lowest payoff per player.
+    fold a signal, which follow W's lowest payoff per player; when no
+    signal folds, the offsets are ic_offsets for every W.
     """
 
     normals: np.ndarray  # (r, 2k) unit rows over the kept blocks
@@ -155,11 +156,18 @@ class ProfileSystem:
     norm: np.ndarray  # (r,) length of each deviation row's kept part
     weights: np.ndarray  # (k,) delta * rho(y|a) on the kept signals
     c: np.ndarray  # (2,) (1-delta) u(a)
+    diagonal: np.ndarray = field(init=False)  # (r, 2) the rows summed over the kept blocks
+
+    def __post_init__(self):
+        # normals . (x, ..., x) = diagonal . x; k from the weights, as a profile may have no rows
+        object.__setattr__(self, "diagonal", self.normals.reshape(-1, len(self.weights), 2).sum(axis=1))
 
     def offsets(self, w: PolygonV) -> np.ndarray:
         """Row offsets over W: a folded signal's block sits at W's lowest
         payoff for the player whose rows reach it."""
-        shift = np.einsum("ryi,i->r", self.folded, w.vertices.min(axis=0))
+        if not self.folded.shape[1]:
+            return self.ic_offsets
+        shift = np.einsum("ryi,i->r", self.folded, w.low)
         return (self.ic_offsets - shift) / self.norm
 
 
@@ -236,12 +244,14 @@ def enforceable_payoffs(system: ProfileSystem, w: PolygonV, tol: Tolerances = DE
     work.
     The folded offsets are shifted to W.  When every row holds, within
     the walk's on-plane band, at the k-fold repeats of W's vertices,
-    P(a) = (1-delta) u(a) + delta W with no pivot.  Every signal `a`
-    emits is kept, so the weights sum to delta and P(a) lies in
-    c + delta W.  The repeats span the diagonal {(x, ..., x) : x in W}
-    of W^k, so the rows hold on all of it, and its image is
-    c + delta W.  An empty row set holds vacuously, and a stage-Nash
-    profile's rows hold because a constant continuation enforces it.
+    P(a) = (1-delta) u(a) + delta W with no pivot; a row's value at the
+    repeat of x is its compiled diagonal row's value at x, so this takes
+    one product with W's vertices.  Every signal `a` emits is kept, so
+    the weights sum to delta and P(a) lies in c + delta W.  The repeats
+    span the diagonal {(x, ..., x) : x in W} of W^k, so the rows hold on
+    all of it, and its image is c + delta W.  An empty row set holds
+    vacuously, and a stage-Nash profile's rows hold because a constant
+    continuation enforces it.
     Otherwise a simplex walk along the polytope's 2-D shadow finds the
     vertices of P(a), and its dual-simplex phase finds P(a) empty when
     no point of W^k meets every row (`shadow.shadow_polygon`).
@@ -253,12 +263,11 @@ def enforceable_payoffs(system: ProfileSystem, w: PolygonV, tol: Tolerances = DE
     if w.is_empty:
         return PolygonV.empty(), 0
     offsets = system.offsets(w)
-    k = len(system.weights)
-    # the diagonal of W^k: the tuples that repeat one vertex of W
-    diag = np.tile(w.vertices, k)
-    if np.all(diag @ system.normals.T - offsets <= tol.eps * np.maximum(1.0, np.abs(offsets))):
-        # every row holds on the diagonal: P(a) = (1-delta) u(a) + delta W, W's cycle
-        image = system.weights @ diag.reshape(-1, k, 2) + system.c
+    if np.all(w.vertices @ system.diagonal.T - offsets <= tol.eps * np.maximum(1.0, np.abs(offsets))):
+        # every row holds on the diagonal of W^k, the tuples that repeat
+        # one vertex of W: P(a) = (1-delta) u(a) + delta W, W's cycle
+        k = len(system.weights)
+        image = system.weights @ np.tile(w.vertices, k).reshape(-1, k, 2) + system.c
         return canonical_polygon(image.tolist(), tol), 0
     return shadow_polygon(w, system.weights, system.normals, offsets, system.c, tol)
 
@@ -286,12 +295,11 @@ def apply_B(
         systems = compile_profiles(game, delta)
     per_action = {}
     pts = []
-    for a, system in zip(game.profiles(), systems):
+    for label, system in zip(game.profile_keys, systems):
         if system is None:
             poly = PolygonV.empty()
         else:
             poly, _ = enforceable_payoffs(system, w, tol)
-        label = (game.action_labels[0][a[0]], game.action_labels[1][a[1]])
         per_action[label] = poly
         if not poly.is_empty:
             pts.append(poly.vertices)
@@ -319,9 +327,8 @@ def solve(game: StageGame, config: SolverConfig) -> Report:
     tol = DEFAULT_TOL.scaled(scale)
     w = individually_rational_set(game, tol).individually_rational
 
-    trace = [
-        IterationTrace(0, w.vertices, area(w), 0.0, 0.0, {}, 0.0)
-    ]
+    a_new = area(w)
+    trace = [IterationTrace(0, w.vertices, a_new, 0.0, 0.0, {}, 0.0)]
     if w.is_empty:
         return Report(
             tuple(trace),
@@ -343,7 +350,7 @@ def solve(game: StageGame, config: SolverConfig) -> Report:
         # theta > 0 widens the set, which can then reach past w; the clip
         # keeps the descent that the skip of empty profiles below relies on
         new = intersect_polygons(res.set, w, tol)
-        a_prev, a_new = area(w), area(new)
+        a_prev, a_new = a_new, area(new)  # w's area is the last iterate's
         hd = hausdorff(w, new) if not new.is_empty else float("nan")
         enforceable = {lab: not p.is_empty for lab, p in res.per_action.items()}
         # B_a is monotone and each iterate lies in the last, so a profile

@@ -14,6 +14,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -65,6 +66,11 @@ class StageGame:
     def profiles(self):
         n1, n2 = self.num_actions
         return [(i, j) for i in range(n1) for j in range(n2)]
+
+    @cached_property  # it writes __dict__, which the frozen dataclass leaves open
+    def profile_keys(self) -> tuple:
+        """Each profile's pair of action labels, in `profiles()` order."""
+        return tuple((self.action_labels[0][i], self.action_labels[1][j]) for i, j in self.profiles())
 
 
 @dataclass(frozen=True)

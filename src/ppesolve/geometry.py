@@ -42,10 +42,11 @@ class Tolerances:
 DEFAULT_TOL = Tolerances()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PolygonV:
     """Convex polygon in canonical extreme-point form.  It owns a read-only
-    copy of its vertices, and keeps what it derives from them on itself."""
+    copy of its vertices, and keeps what it derives from them on itself.
+    Polygons are equal, and hash alike, when their vertices' bytes are."""
 
     vertices: np.ndarray  # (m, 2) float64
 
@@ -53,6 +54,18 @@ class PolygonV:
         v = np.asarray(self.vertices, dtype=float).reshape(-1, 2).copy()
         v.setflags(write=False)
         object.__setattr__(self, "vertices", v)
+
+    def __eq__(self, other):
+        if not isinstance(other, PolygonV):
+            return NotImplemented
+        return self.vertices.tobytes() == other.vertices.tobytes()
+
+    def __hash__(self):
+        return hash(self.vertices.tobytes())
+
+    @cached_property  # the least coordinate per axis, of a nonempty polygon
+    def low(self) -> np.ndarray:
+        return self.vertices.min(axis=0)
 
     @cached_property  # it writes __dict__, which the frozen dataclass leaves open
     def _rows(self) -> tuple:
@@ -100,7 +113,11 @@ class PolygonV:
 
     @staticmethod
     def empty() -> "PolygonV":
-        return PolygonV(np.zeros((0, 2)))
+        """The empty set: one instance, shared by every caller."""
+        return _EMPTY
+
+
+_EMPTY = PolygonV(np.zeros((0, 2)))
 
 
 # relative rounding bound per term of a dot product, with room to spare
@@ -240,8 +257,9 @@ def intersect_halfplane(
 ) -> PolygonV:
     """Clip a canonical polygon by n.x <= b (Sutherland-Hodgman walk).
 
-    A segment is walked as a 2-vertex cycle: its cut point is found
-    once from each endpoint, and the hull merges the two copies.
+    The walk turns a convex CCW cycle into one that `canonical_polygon`
+    finishes.  A segment is walked as a 2-vertex cycle: its cut point is
+    found once from each endpoint, and the hull merges the two copies.
     """
     n = np.asarray(normal, dtype=float)
     b = float(offset)
@@ -254,7 +272,8 @@ def intersect_halfplane(
     if np.all(s > eps):
         return PolygonV.empty()
 
-    v = p.vertices
+    v = p.vertices.tolist()
+    s = s.tolist()
     m = len(v)
     out = []
     for k in range(m):
@@ -264,8 +283,8 @@ def intersect_halfplane(
             out.append(a)
         if (sa <= eps) != (sc <= eps):
             t = sa / (sa - sc)
-            out.append(a + t * (c - a))
-    return convex_hull(out, tol)
+            out.append([a[0] + t * (c[0] - a[0]), a[1] + t * (c[1] - a[1])])
+    return canonical_polygon(out, tol) if p.is_full_dim else convex_hull(out, tol)
 
 
 def area(p: PolygonV) -> float:
@@ -348,7 +367,7 @@ def rdp_simplify(p: PolygonV, theta: float, tol: Tolerances = DEFAULT_TOL) -> Po
             if turn > 0.0:
                 t = ((cx - bx) * wy - (cy - by) * wx) / turn
                 edges.append(i)
-                apexes.append((bx + t * ux, by + t * uy))
+                apexes.append([bx + t * ux, by + t * uy])
         d = _dists_to_polygon(np.array(apexes).reshape(-1, 2), p)
         apex = {}
         for j in np.argsort(d, kind="stable"):
@@ -358,28 +377,27 @@ def rdp_simplify(p: PolygonV, theta: float, tol: Tolerances = DEFAULT_TOL) -> Po
                 apex[edges[j]] = apexes[j]
         if not apex:
             break
-        # edge i's apex replaces v[i] and v[i+1]
+        # edge i's apex replaces v[i] and v[i+1]; the cycle stays convex and CCW
         v = [apex.get(i, x) for i, x in enumerate(v) if (i - 1) % m not in apex]
-    return p if len(v) == p.num_vertices else convex_hull(v, tol)
+    return p if len(v) == p.num_vertices else canonical_polygon(v, tol)
 
 
 def intersect_polygons(p: PolygonV, q: PolygonV, tol: Tolerances = DEFAULT_TOL) -> PolygonV:
     """Intersection of two convex polygons (q may be degenerate).
 
-    p is clipped by q's rows one at a time (`intersect_halfplane`).  When
-    every vertex of p lies within each row's band, with room left for
-    the rounding of its value, every clip would return p, so p itself
-    is returned after one array test.
+    p is clipped, one row at a time (`intersect_halfplane`), by the rows
+    of q that one array test shows some vertex of p crossing, beyond the
+    row's band with room left for the rounding of its value; clips by the
+    other rows would return p.  With no row crossed, p itself is returned.
     """
     if p.is_empty or q.is_empty:
         return PolygonV.empty()
     normals, offsets = halfspace_rows(q)
     s = p.vertices @ normals.T - offsets  # (|p|, rows)
     size = np.abs(p.vertices) @ np.abs(normals).T + np.abs(offsets)
-    if np.all(s + _ROUNDING * size <= tol.eps * np.maximum(1.0, np.abs(offsets))):
-        return p
+    crossed = ~np.all(s + _ROUNDING * size <= tol.eps * np.maximum(1.0, np.abs(offsets)), axis=0)
     out = p
-    for n, b in zip(normals, offsets):
+    for n, b in zip(normals[crossed], offsets[crossed]):
         out = intersect_halfplane(out, n, b, tol)
         if out.is_empty:
             break

@@ -48,17 +48,20 @@ def _pivot(T: np.ndarray, basis: list, j: int, p: int) -> None:
 
 def _first(values: list, rows: list) -> int:
     """Index of the least value; within _TIE of it, of the smallest row."""
-    least = min(values)
-    tied = [i for i, v in enumerate(values) if v <= least + _TIE * (1.0 + abs(least))]
-    return min(tied, key=rows.__getitem__)
+    i = values.index(min(values))
+    cut = values[i] + _TIE * (1.0 + abs(values[i]))
+    for j, v in enumerate(values):
+        if v <= cut and rows[j] < rows[i]:
+            i = j
+    return i
 
 
 def _w_side(w: PolygonV, k: int) -> tuple:
     """W's side of the start tableau for k blocks: B^-1, x0, x0 in every
     block, W's rows in every block (N B^-1 in the block's own columns and
-    the slacks b - N x0; the basic rows exactly e_p and 0) and the start
-    basis.  It depends on W's vertices alone: built once per polygon and
-    k, and kept in the polygon's __dict__ as cached_property would."""
+    the slacks b - N x0; the basic rows exactly e_p and 0), the start
+    basis and W's half of the band over eps, max(1, |b|) per row.  Built
+    once per polygon and k, kept in its __dict__ as cached_property would."""
     memo = vars(w).setdefault("_walk_side", {})
     if not memo:
         normals2, offsets2 = halfspace_rows(w)
@@ -73,15 +76,16 @@ def _w_side(w: PolygonV, k: int) -> tuple:
         nb[start] = np.eye(2)
         slack = offsets2 - normals2 @ x0
         slack[start] = 0.0
-        memo[None] = start, inv, x0, nb, slack
+        memo[None] = start, inv, x0, nb, slack, np.maximum(1.0, np.abs(offsets2))
     if k not in memo:
-        start, inv, x0, nb, slack = memo[None]
+        start, inv, x0, nb, slack, scale = memo[None]
         m = len(slack)
         top = np.zeros((k * m, 2 * k + 1))
         for y in range(k):
             top[y * m : (y + 1) * m, 2 * y : 2 * y + 2] = nb
             top[y * m : (y + 1) * m, -1] = slack
-        memo[k] = inv, x0, np.tile(x0, k), top, [y * m + r for y in range(k) for r in start]
+        basis = [y * m + r for y in range(k) for r in start]
+        memo[k] = inv, x0, np.tile(x0, k), top, basis, np.tile(scale, k)
     return memo[k]
 
 
@@ -104,7 +108,7 @@ def shadow_polygon(w: PolygonV, weights, normals, offsets, c, tol: Tolerances):
     """
     k = len(weights)
     n = 2 * k
-    inv, x0, x0k, top, basis = _w_side(w, k)
+    inv, x0, x0k, top, basis, scale = _w_side(w, k)
     basis = list(basis)
     km = len(top)
     R = km + len(offsets)
@@ -116,15 +120,15 @@ def shadow_polygon(w: PolygonV, weights, normals, offsets, c, tol: Tolerances):
     T[km:R, n] = offsets - normals @ x0k
     T[R:, :n] = (inv[:, None, :] * weights[:, None]).reshape(2, n)
     T[R:, n] = -weights.sum() * x0
-    offsets2 = halfspace_rows(w)[1]
-    band = tol.eps * np.maximum(1.0, np.abs(np.concatenate((offsets2,) * k + (offsets,))))
+    band = tol.eps * np.concatenate((scale, np.maximum(1.0, np.abs(offsets))))
+    inf = np.full(R, math.inf)  # the ratio of a row that does not block
     limit = 10 * (R + n) + 100  # a guard: the walk ends long before
     pivots = 0
 
     # phase 1, dual simplex at d: the most violated row enters
     d0, d1 = _D
     while True:
-        j = int(np.argmin(T[:R, n] + band))
+        j = int((T[:R, n] + band).argmin())
         if T[j, n] >= -band[j]:
             break
         row = T[j, :n].tolist()
@@ -159,15 +163,14 @@ def shadow_polygon(w: PolygonV, weights, normals, offsets, c, tol: Tolerances):
         phi += angles[i]
         p = ps[i]
         col = T[:R, p]
-        ratios = np.divide(
-            np.maximum(T[:R, n], 0.0), -col, out=np.full(R, math.inf), where=col < -_PIVOT
-        )
+        ratios = np.divide(np.maximum(T[:R, n], 0.0), -col, out=inf.copy(), where=col < -_PIVOT)
         least = ratios.min()
         if least == math.inf:
             raise RuntimeError("shadow walk: an edge of the polytope is unbounded")
-        _pivot(T, basis, int(np.argmax(ratios <= least + _TIE * (1.0 + least))), p)
+        _pivot(T, basis, int((ratios <= least + _TIE * (1.0 + least)).argmax()), p)
         images.append(T[R:, n].tolist())
         pivots += 1
         if pivots > limit:
             raise RuntimeError("shadow walk: rotation exceeded its pivot bound")
-    return canonical_polygon((c - np.array(images)).tolist(), tol), pivots
+    cx, cy = c.tolist()
+    return canonical_polygon([[cx - u, cy - v] for u, v in images], tol), pivots

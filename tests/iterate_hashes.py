@@ -18,8 +18,9 @@ configurations from there: iterate k does not depend on max_iter, so a
 prefix of a run serves a smaller max_iter.
 
 With --against DIR, the runs are also solved on DIR/src and every
-iterate is compared (`compare_against`); EXPECTED is not read, and the
-walks and pivots of both trees are printed for information only.
+iterate and every `hausdorff_diff`, which the stop rule reads, is
+compared (`compare_against`); EXPECTED is not read, and the walks and
+pivots of both trees are printed for information only.
 """
 
 from __future__ import annotations
@@ -109,11 +110,13 @@ def report_line(report, pivots) -> str:
 
 
 def dump_runs(path: str) -> None:
-    """Pickle each run's iteration count, stop reason, iterates and walk pivots."""
+    """Pickle each run's iteration count, stop reason, iterates, step
+    distances (`hausdorff_diff`) and walk pivots."""
     out = {}
     for name, *run in RUNS:
         report, pivots = run_walks(*run)
-        out[name] = (report.iterations, report.stop_reason, [t.vertices for t in report.trace], pivots)
+        steps = [t.hausdorff_diff for t in report.trace]
+        out[name] = (report.iterations, report.stop_reason, [t.vertices for t in report.trace], steps, pivots)
     Path(path).write_bytes(pickle.dumps(out))
 
 
@@ -128,9 +131,10 @@ def compare_against(other: Path) -> int:
 
     The other tree's runs are made in a subprocess with `other`/src
     first on PYTHONPATH.  For each run, prints whether the iteration
-    count and stop reason match, how many iterates differ in bytes, and
-    the worst Hausdorff distance between iterates of the same index,
-    then each tree's walks and pivots.  Exits 1 if any iteration count
+    count and stop reason match, how many iterates differ in bytes, the
+    worst Hausdorff distance between iterates of the same index, and how
+    many `hausdorff_diff` values differ (compared by repr, so exactly,
+    NaN equal to NaN), then each tree's walks and pivots.  Exits 1 if any iteration count
     or stop reason differs.
     """
     with tempfile.TemporaryDirectory() as tmp:
@@ -142,18 +146,20 @@ def compare_against(other: Path) -> int:
     for name, *run in RUNS:
         report, pivots = run_walks(*run)
         ours = [t.vertices for t in report.trace]
-        iterations, reason, vertices, their_pivots = theirs[name]
+        iterations, reason, vertices, their_steps, their_pivots = theirs[name]
         same = (report.iterations, report.stop_reason) == (iterations, reason)
         differ += not same
         changed = sum(
             a.shape != b.shape or a.tobytes() != b.tobytes() for a, b in zip(ours, vertices)
         )
         worst = max(iterate_distance(a, b) for a, b in zip(ours, vertices))
+        steps = sum(repr(t.hausdorff_diff) != repr(d) for t, d in zip(report.trace, their_steps))
         print(
             f"{name}: {'same' if same else 'DIFFERENT'} count and reason "
             f"({iterations} {reason} there, {report.iterations} {report.stop_reason} here); "
             f"{changed} of {min(len(ours), len(vertices))} iterates differ in bytes; "
             f"worst Hausdorff distance {worst:.2g}; "
+            f"{steps} of {min(len(ours), len(their_steps))} hausdorff_diff values differ; "
             f"{walk_counts(their_pivots)} there, {walk_counts(pivots)} here",
             flush=True,
         )

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ppesolve import aps
+from ppesolve import aps, parse_game
 from ppesolve.aps import (
     Certificate,
     Refusal,
@@ -25,7 +25,7 @@ from ppesolve.geometry import (
     _dists_to_polygon,
 )
 
-from iterate_hashes import EXPECTED, RUNS, report_line
+from iterate_hashes import EXPECTED, GAMES, RUNS, report_line
 from oracles import byte_equal, match_point_sets
 from test_shadow import reference
 
@@ -99,6 +99,10 @@ class TestIcConstraints:
         system = compile_profile(pd_game, DD, 0.0)
         assert system is not None
         assert len(system.normals) == len(system.offsets(pd_w0)) == 0
+        # the diagonal rows take k from the weights, and the closed form holds
+        assert system.diagonal.shape == (0, 2)
+        p, pivots = enforceable_payoffs(system, pd_w0)
+        assert pivots == 0 and p.vertices.tolist() == [[0.0, 0.0]]
 
     def test_cournot_row_count(self, cournot_game):
         system = compile_profile(cournot_game, (0, 0), 0.9)
@@ -221,6 +225,17 @@ class TestApplyB:
             ("D", "D"): True,
         }
 
+    def test_skipped_profiles_share_the_empty_polygon(self, cournot_game):
+        """Each skipped profile's slot holds the one read-only empty polygon,
+        keyed by its action labels in profile order."""
+        w = individually_rational_set(cournot_game).individually_rational
+        systems = aps.compile_profiles(cournot_game, 0.5)
+        res = apply_B(cournot_game, 0.5, w, systems=(None,) * 4 + systems[4:])
+        labels = cournot_game.action_labels
+        assert list(res.per_action) == [(labels[0][i], labels[1][j]) for i, j in cournot_game.profiles()]
+        empty = list(res.per_action.values())[:4]
+        assert all(p is PolygonV.empty() for p in empty) and not empty[0].vertices.flags.writeable
+
     def test_result_within_input(self, pd_game, pd_w0):
         res = apply_B(pd_game, 0.9, pd_w0)
         assert contains_polygon(pd_w0, res.set, 1e-7)
@@ -306,6 +321,68 @@ class TestCompiledProfiles:
             for label in rep.trace[1].enforceable
         )
         assert len(checked) == calls == computed(name, pinned)
+
+
+class TestProfileSystemOnPinnedIterates:
+    """What compile_profile stores in place of per-iterate work gives the
+    answers of the per-iterate formulas, on every iterate of the registry."""
+
+    @staticmethod
+    def iterates(pinned_runs, games):
+        """(run name, compiled systems, tolerances, W) for every nonempty
+        iterate of the pinned runs on the given game files."""
+        for name, game_file, delta, _, _ in RUNS:
+            if game_file not in games:
+                continue
+            report, _ = pinned_runs[name]
+            systems = aps.compile_profiles(parse_game((GAMES / game_file).read_text()), delta)
+            for t in report.trace:
+                if len(t.vertices):
+                    yield name, systems, report.tolerances, PolygonV(t.vertices)
+
+    def test_diagonal_rows_decide_as_the_tiled_test(self, pinned_runs, monkeypatch):
+        """The closed form is taken exactly when every row holds on the
+        k-fold repeats of W's vertices, for every compiled profile."""
+        walked = []
+        monkeypatch.setattr(aps, "shadow_polygon", lambda *args: walked.append(args) or (PolygonV.empty(), 0))
+        decided = {True: 0, False: 0}
+        for name, systems, tol, w in self.iterates(pinned_runs, {"prisoners_dilemma.json", "cournot.json"}):
+            for system in filter(None, systems):
+                offsets = system.offsets(w)
+                k = len(system.weights)
+                tiled = bool(np.all(
+                    np.tile(w.vertices, k) @ system.normals.T - offsets
+                    <= tol.eps * np.maximum(1.0, np.abs(offsets))
+                ))
+                walked.clear()
+                enforceable_payoffs(system, w, tol)
+                assert tiled == (not walked), f"{name}, {w.num_vertices}-vertex iterate"
+                decided[tiled] += 1
+        assert decided[True] > 0 and decided[False] > 0
+
+    def test_unfolded_offsets_are_compiled(self, pinned_runs):
+        """A profile that folds nothing returns its compiled offsets, the
+        same array, for every W."""
+        seen = 0
+        for _, systems, _, w in self.iterates(pinned_runs, {"prisoners_dilemma.json", "cournot.json"}):
+            for system in filter(None, systems):
+                if system.folded.shape[1] == 0:
+                    assert system.offsets(w) is system.ic_offsets
+                    seen += 1
+        assert seen
+
+    def test_folded_offsets_follow_w(self, pinned_runs):
+        """A folding profile's offsets are (ic_offsets - folded . min W) /
+        norm, byte for byte, on every Cournot iterate."""
+        seen = 0
+        for _, systems, _, w in self.iterates(pinned_runs, {"cournot.json"}):
+            for system in filter(None, systems):
+                if system.folded.shape[1]:
+                    shift = np.einsum("ryi,i->r", system.folded, w.vertices.min(axis=0))
+                    want = (system.ic_offsets - shift) / system.norm
+                    assert system.offsets(w).tobytes() == want.tobytes()
+                    seen += 1
+        assert seen
 
 
 class TestSolverConfig:

@@ -61,6 +61,22 @@ class TestPolygonV:
         with pytest.raises(ValueError):
             p.vertices[0, 0] = 1.0
 
+    def test_value_equality_and_hash(self):
+        """Polygons compare and hash by their vertices' float64 bytes."""
+        tri = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        p, copy = PolygonV(tri), PolygonV(tri.copy())
+        assert p == copy and not p != copy and hash(p) == hash(copy)
+        others = [PolygonV(tri[:2]), PolygonV(tri[:1]), PolygonV(tri + 1e-12), PolygonV.empty()]
+        assert all(p != q for q in others) and p != tri.tolist()
+        assert len({p, copy, *others}) == 5 and copy in {p} and others[2] not in {p}
+        assert [PolygonV(tri[::-1])].count(p) == 0
+
+    def test_empty_is_one_shared_read_only_polygon(self):
+        empty = PolygonV.empty()
+        assert empty is PolygonV.empty() and empty == PolygonV(np.zeros((0, 2)))
+        assert hash(empty) == hash(PolygonV(np.zeros((0, 2)))) and empty in {convex_hull([])}
+        assert not empty.vertices.flags.writeable
+
 
 class TestConvexHull:
     def test_interior_point_dropped(self):
@@ -392,6 +408,86 @@ class TestClipShortcut:
             assert self.assert_same(p, q) is p
         else:
             self.assert_same(random_hull(rng=rng), q)
+        # p shares some of q's vertices and edges, as an iterate shares the
+        # last one's, and is clipped by points and segments too
+        keep = q.vertices[rng.random(q.num_vertices) < 0.6]
+        p = convex_hull(np.vstack([keep, rng.uniform(-3.5, 3.5, size=(int(rng.integers(1, 6)), 2))]))
+        for other in (q, PolygonV(p.vertices[:1]), convex_hull(q.vertices[:2]),
+                      convex_hull(rng.uniform(-3, 3, size=(2, 2))), PolygonV(rng.uniform(-1, 1, size=(1, 2)))):
+            self.assert_same(p, other)
+        self.assert_same(q, p)
+
+
+class TestCanonicalFinish:
+    """The clip's Sutherland-Hodgman cycle and the simplification's apex
+    cycle are convex and CCW, so `canonical_polygon` finishes them as
+    `convex_hull` would, byte for byte.  The one exception is a cycle
+    with two neighbours within eps, as when a line passes a hair inside
+    a vertex and the cut point falls an ulp along its edge: the hull's
+    exact turn test and the merge of near-coincident vertices may keep
+    different members of the pair, so there the two agree within eps."""
+
+    @pytest.fixture
+    def cycles(self, monkeypatch):
+        """Each cycle handed to `geometry.canonical_polygon`, in order."""
+        import ppesolve.geometry as geometry
+
+        seen, finish = [], geometry.canonical_polygon
+        monkeypatch.setattr(geometry, "canonical_polygon", lambda cycle, tol: seen.append(cycle) or finish(cycle, tol))
+        return seen
+
+    @staticmethod
+    def cuts(p, rng):
+        """(normal, offset) pairs: a generic line, lines through a vertex
+        and a hair to either side of it, and each edge's own line, both
+        ways and nudged by part of the band."""
+        v, eps = p.vertices, Tolerances().eps
+        n = rng.normal(size=2)
+        n /= np.linalg.norm(n)
+        yield n, n @ v.mean(axis=0) + rng.uniform(-0.5, 0.5)
+        for i in rng.choice(len(v), size=2, replace=False):
+            b = n @ v[i]
+            for hair in (0.0, 1e-15, -1e-15):
+                yield n, b + hair * max(1.0, abs(b))
+        normals, offsets = halfspace_rows(p)
+        for e in rng.choice(len(v), size=2, replace=False):
+            for shift in (0.0, 0.5 * eps, -0.5 * eps):
+                yield -normals[e], -offsets[e] + shift
+                yield normals[e], offsets[e] - 3 * eps + shift
+
+    @staticmethod
+    def assert_same_finish(got, cycle, tol):
+        """Returns True when the comparison was byte for byte."""
+        want = convex_hull(cycle, tol)
+        gaps = np.hypot(*(np.roll(cycle, -1, axis=0) - np.array(cycle)).T)
+        if gaps.min() > tol.eps:
+            assert got.vertices.tobytes() == want.vertices.tobytes()
+            return True
+        assert got.num_vertices == want.num_vertices and hausdorff(got, want) <= tol.eps
+        return False
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_clip_cycle(self, seed, cycles):
+        rng = np.random.default_rng(8100 + seed)
+        p = random_hull(n_points=int(rng.integers(3, 16)), scale=10.0 ** rng.uniform(-1, 3), rng=rng)
+        tol = Tolerances().scaled(max(1.0, float(np.abs(p.vertices).max())))
+        exact = 0
+        for n, b in self.cuts(p, rng):
+            cycles.clear()
+            got = intersect_halfplane(p, n, b, tol)
+            if cycles:  # else every vertex was kept, or none, with no walk
+                exact += self.assert_same_finish(got, cycles[0], tol)
+        assert exact
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_apex_cycle(self, seed, cycles):
+        rng = np.random.default_rng(8200 + seed)
+        p = random_hull(n_points=int(rng.integers(8, 40)), rng=rng)
+        for theta in (0.01, 0.1, 1.0):
+            cycles.clear()
+            got = rdp_simplify(p, theta)
+            if got is not p:
+                assert self.assert_same_finish(got, cycles[0], Tolerances())
 
 
 SEGMENT_CUTS = [
