@@ -94,18 +94,25 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class BResult:
+    """One application: the merged set, each P(a), and what computing it took."""
+
     set: PolygonV  # B(W), or with theta > 0 a superset within theta of it
     per_action: dict  # profile label tuple -> PolygonV (possibly empty)
+    pivots: dict  # label of each profile computed -> its walk's pivots, None for the closed form
 
 
 @dataclass(frozen=True)
 class IterationTrace:
+    """Iterate k, and per profile how the application that made it settled P(a):
+    `pivots` has no entry for a profile skipped or compiled empty."""
+
     iteration: int
     vertices: np.ndarray
     area: float
     area_diff: float
     hausdorff_diff: float
     enforceable: dict  # profile label tuple -> bool ({} for iteration 0)
+    pivots: dict  # BResult.pivots ({} for iteration 0)
     wall_ms: float
 
 
@@ -257,18 +264,18 @@ def enforceable_payoffs(system: ProfileSystem, w: PolygonV, tol: Tolerances = DE
     no point of W^k meets every row (`shadow.shadow_polygon`).
 
     Returns (PolygonV, pivots): an empty polygon means `a` is not
-    enforceable against W; pivots counts the walk's simplex pivots, 0
-    when W is empty or the closed form settles it.
+    enforceable against W; pivots counts the walk's simplex pivots, and
+    is None when no walk ran: W is empty or the closed form settles it.
     """
     if w.is_empty:
-        return PolygonV.empty(), 0
+        return PolygonV.empty(), None
     offsets = system.offsets(w)
     if np.all(w.vertices @ system.diagonal.T - offsets <= tol.eps * np.maximum(1.0, np.abs(offsets))):
         # every row holds on the diagonal of W^k, the tuples that repeat
         # one vertex of W: P(a) = (1-delta) u(a) + delta W, W's cycle
         k = len(system.weights)
         image = system.weights @ np.tile(w.vertices, k).reshape(-1, k, 2) + system.c
-        return canonical_polygon(image.tolist(), tol), 0
+        return canonical_polygon(image.tolist(), tol), None
     return shadow_polygon(w, system.weights, system.normals, offsets, system.c, tol)
 
 
@@ -289,26 +296,25 @@ def apply_B(
     its own.  A None in a profile's slot gives it the empty set without
     computing it: the slot of an infeasible profile holds None, and
     `solve` passes None for each profile whose set was empty at an
-    earlier iterate.
+    earlier iterate.  Only the profiles computed get `pivots` entries.
     """
     if systems is None:
         systems = compile_profiles(game, delta)
-    per_action = {}
-    pts = []
+    per_action, pivots, pts = {}, {}, []
     for label, system in zip(game.profile_keys, systems):
         if system is None:
             poly = PolygonV.empty()
         else:
-            poly, _ = enforceable_payoffs(system, w, tol)
+            poly, pivots[label] = enforceable_payoffs(system, w, tol)
         per_action[label] = poly
         if not poly.is_empty:
             pts.append(poly.vertices)
     if not pts:
-        return BResult(PolygonV.empty(), per_action)
+        return BResult(PolygonV.empty(), per_action, pivots)
     hull = convex_hull(np.vstack(pts), tol)
     if theta > 0:
         hull = rdp_simplify(hull, theta, tol)
-    return BResult(hull, per_action)
+    return BResult(hull, per_action, pivots)
 
 
 def solve(game: StageGame, config: SolverConfig) -> Report:
@@ -328,7 +334,7 @@ def solve(game: StageGame, config: SolverConfig) -> Report:
     w = individually_rational_set(game, tol).individually_rational
 
     a_new = area(w)
-    trace = [IterationTrace(0, w.vertices, a_new, 0.0, 0.0, {}, 0.0)]
+    trace = [IterationTrace(0, w.vertices, a_new, 0.0, 0.0, {}, {}, 0.0)]
     if w.is_empty:
         return Report(
             tuple(trace),
@@ -358,7 +364,7 @@ def solve(game: StageGame, config: SolverConfig) -> Report:
         systems = tuple(s if ok else None for s, ok in zip(systems, enforceable.values()))
         trace.append(
             IterationTrace(
-                k, new.vertices, a_new, a_prev - a_new, hd, enforceable, wall_ms
+                k, new.vertices, a_new, a_prev - a_new, hd, enforceable, res.pivots, wall_ms
             )
         )
         if new.is_empty:

@@ -2,10 +2,10 @@
 
 All polygons are kept in a canonical V-form: counter-clockwise vertex
 order starting at the lexicographically smallest vertex, with
-near-coincident and collinear vertices removed.  Polygons are built by
-`convex_hull`, which applies the tolerance to its output vertex cycle
-only.  An empty vertex list encodes the empty set, one vertex a
-point, two vertices a segment.  Halfspace rows are derived from that
+near-coincident and collinear vertices removed.  `convex_hull`, and
+`canonical_polygon` for a convex CCW cycle, apply the tolerance to the
+output cycle only.  An empty vertex list encodes the empty set, one
+vertex a point, two a segment.  Halfspace rows are derived from that
 form on first use and kept on the polygon (`halfspace_rows`).
 """
 
@@ -44,14 +44,15 @@ DEFAULT_TOL = Tolerances()
 
 @dataclass(frozen=True, eq=False)
 class PolygonV:
-    """Convex polygon in canonical extreme-point form.  It owns a read-only
-    copy of its vertices, and keeps what it derives from them on itself.
-    Polygons are equal, and hash alike, when their vertices' bytes are."""
+    """Convex polygon in canonical extreme-point form.  Its vertices are a
+    read-only view of a private copy, which can be neither written nor
+    resized, and it keeps what it derives from them on itself.  Polygons
+    are equal, and hash alike, when their vertices' bytes are."""
 
     vertices: np.ndarray  # (m, 2) float64
 
     def __post_init__(self):
-        v = np.asarray(self.vertices, dtype=float).reshape(-1, 2).copy()
+        v = np.asarray(self.vertices, dtype=float).reshape(-1, 2).copy().view()
         v.setflags(write=False)
         object.__setattr__(self, "vertices", v)
 
@@ -257,9 +258,12 @@ def intersect_halfplane(
 ) -> PolygonV:
     """Clip a canonical polygon by n.x <= b (Sutherland-Hodgman walk).
 
-    The walk turns a convex CCW cycle into one that `canonical_polygon`
-    finishes.  A segment is walked as a 2-vertex cycle: its cut point is
-    found once from each endpoint, and the hull merges the two copies.
+    A vertex within eps past the line is kept, and a cut point is emitted
+    only where an edge crosses from beyond the band to strictly inside
+    the line: every point walked lies on p's boundary, in order, so the
+    cycle is convex for `canonical_polygon` to finish.  A segment is
+    walked as a 2-vertex cycle: its cut point is found from each
+    endpoint, and the finish merges the two copies.
     """
     n = np.asarray(normal, dtype=float)
     b = float(offset)
@@ -281,10 +285,10 @@ def intersect_halfplane(
         sa, sc = s[k], s[(k + 1) % m]
         if sa <= eps:
             out.append(a)
-        if (sa <= eps) != (sc <= eps):
+        if (sa <= eps) != (sc <= eps) and min(sa, sc) < 0.0:
             t = sa / (sa - sc)
             out.append([a[0] + t * (c[0] - a[0]), a[1] + t * (c[1] - a[1])])
-    return canonical_polygon(out, tol) if p.is_full_dim else convex_hull(out, tol)
+    return canonical_polygon(out, tol)
 
 
 def area(p: PolygonV) -> float:

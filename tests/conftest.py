@@ -6,9 +6,9 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from ppesolve import aps, parse_game
+from ppesolve import parse_game
 
-from iterate_hashes import RUNS, run_walks
+from iterate_hashes import RUNS, solve_run
 
 ROOT = Path(__file__).resolve().parents[1]
 GAMES = ROOT / "games"
@@ -43,21 +43,5 @@ def cournot_game_path():
 @pytest.fixture(scope="session")
 def pinned_runs():
     """Every run of `iterate_hashes.RUNS`, solved once per session:
-    name -> (report, pivots of each walk).  pytest sets up a session
-    fixture before the function-scoped fixtures of the test that first
-    requests it, so no test's spy on the walk is in place meanwhile."""
-    return {name: run_walks(*run) for name, *run in RUNS}
-
-
-@pytest.fixture
-def walks(monkeypatch):
-    """The calls that reach the shadow walk, recorded."""
-    seen = []
-    original = aps.shadow_polygon
-
-    def recording(*args):
-        seen.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(aps, "shadow_polygon", recording)
-    return seen
+    name -> report."""
+    return {name: solve_run(*run) for name, *run in RUNS}

@@ -6,9 +6,10 @@
 Run from the repository root, the script prints for each run its
 iteration count, its stop reason, the SHA-256 over the C-contiguous
 float64 bytes of every `trace[k].vertices` from k = 0, and its calls
-into the shadow walk with their pivots in total.  It then names each
-run whose line differs from EXPECTED and exits 1; a change that means to
-move an iterate, a walk or a pivot updates EXPECTED in the same commit.
+into the shadow walk with their pivots in total, as its trace records
+them (`trace[k].pivots`).  It then names each run whose line differs
+from EXPECTED and exits 1; a change that means to move an iterate, a
+walk or a pivot updates EXPECTED in the same commit.
 The seven runs take about 5 s on a 2-CPU machine, nearly all of it in
 exact PD (44 applications, with iterates of up to 1,237 vertices).
 
@@ -19,8 +20,9 @@ prefix of a run serves a smaller max_iter.
 
 With --against DIR, the runs are also solved on DIR/src and every
 iterate and every `hausdorff_diff`, which the stop rule reads, is
-compared (`compare_against`); EXPECTED is not read, and the walks and
-pivots of both trees are printed for information only.
+compared (`compare_against`); EXPECTED is not read.  Of DIR's runs it
+reads only each trace's iterates and step distances, so DIR may be any
+tree whose `solve` returns a `Report`.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ppesolve import SolverConfig, aps, parse_game, solve
+from ppesolve import SolverConfig, parse_game, solve
 from ppesolve.geometry import PolygonV, hausdorff
 
 GAMES = Path(__file__).resolve().parents[1] / "games"
@@ -78,45 +80,33 @@ def iterate_hash(report) -> str:
     return h.hexdigest()
 
 
-def run_walks(game_file, delta, theta, max_iter):
-    """Solve one run; returns the report and the pivots of each walk.
-
-    The spy takes the walk's arguments as *args, so it works whatever
-    the walk's signature on the tree under test."""
+def solve_run(game_file, delta, theta, max_iter):
+    """Solve one run; returns its report."""
     game = parse_game((GAMES / game_file).read_text(encoding="utf-8"))
-    pivots = []
-    walk = aps.shadow_polygon
-
-    def spy(*args):
-        result = walk(*args)
-        pivots.append(result[1])
-        return result
-
-    aps.shadow_polygon = spy
-    try:
-        report = solve(game, SolverConfig(delta=delta, theta=theta, max_iter=max_iter))
-    finally:
-        aps.shadow_polygon = walk
-    return report, pivots
+    return solve(game, SolverConfig(delta=delta, theta=theta, max_iter=max_iter))
 
 
-def walk_counts(pivots) -> str:
+def walk_counts(report) -> str:
+    """The run's walks and their pivots in total, from its trace: a
+    profile settled by the closed form records None, and one skipped
+    records nothing."""
+    pivots = [p for t in report.trace for p in t.pivots.values() if p is not None]
     return f"{len(pivots)} walks, {sum(pivots)} pivots"
 
 
-def report_line(report, pivots) -> str:
+def report_line(report) -> str:
     """A run's line: iteration count, stop reason, iterate hash, walks and pivots."""
-    return f"{report.iterations} iterations, {report.stop_reason}, {iterate_hash(report)}; {walk_counts(pivots)}"
+    return f"{report.iterations} iterations, {report.stop_reason}, {iterate_hash(report)}; {walk_counts(report)}"
 
 
 def dump_runs(path: str) -> None:
-    """Pickle each run's iteration count, stop reason, iterates, step
-    distances (`hausdorff_diff`) and walk pivots."""
+    """Pickle each run's iteration count, stop reason, iterates and step
+    distances (`hausdorff_diff`)."""
     out = {}
     for name, *run in RUNS:
-        report, pivots = run_walks(*run)
+        report = solve_run(*run)
         steps = [t.hausdorff_diff for t in report.trace]
-        out[name] = (report.iterations, report.stop_reason, [t.vertices for t in report.trace], steps, pivots)
+        out[name] = (report.iterations, report.stop_reason, [t.vertices for t in report.trace], steps)
     Path(path).write_bytes(pickle.dumps(out))
 
 
@@ -134,8 +124,8 @@ def compare_against(other: Path) -> int:
     count and stop reason match, how many iterates differ in bytes, the
     worst Hausdorff distance between iterates of the same index, and how
     many `hausdorff_diff` values differ (compared by repr, so exactly,
-    NaN equal to NaN), then each tree's walks and pivots.  Exits 1 if any iteration count
-    or stop reason differs.
+    NaN equal to NaN).  Exits 1 if any iteration count or stop reason
+    differs.
     """
     with tempfile.TemporaryDirectory() as tmp:
         dump = os.path.join(tmp, "runs.pickle")
@@ -144,9 +134,9 @@ def compare_against(other: Path) -> int:
         theirs = pickle.loads(Path(dump).read_bytes())
     differ = 0
     for name, *run in RUNS:
-        report, pivots = run_walks(*run)
+        report = solve_run(*run)
         ours = [t.vertices for t in report.trace]
-        iterations, reason, vertices, their_steps, their_pivots = theirs[name]
+        iterations, reason, vertices, their_steps = theirs[name]
         same = (report.iterations, report.stop_reason) == (iterations, reason)
         differ += not same
         changed = sum(
@@ -159,8 +149,7 @@ def compare_against(other: Path) -> int:
             f"({iterations} {reason} there, {report.iterations} {report.stop_reason} here); "
             f"{changed} of {min(len(ours), len(vertices))} iterates differ in bytes; "
             f"worst Hausdorff distance {worst:.2g}; "
-            f"{steps} of {min(len(ours), len(their_steps))} hausdorff_diff values differ; "
-            f"{walk_counts(their_pivots)} there, {walk_counts(pivots)} here",
+            f"{steps} of {min(len(ours), len(their_steps))} hausdorff_diff values differ",
             flush=True,
         )
     return 1 if differ else 0
@@ -179,8 +168,7 @@ def main() -> int:
         return compare_against(args.against)
     differ = []
     for name, *run in RUNS:
-        report, pivots = run_walks(*run)
-        line = report_line(report, pivots)
+        line = report_line(solve_run(*run))
         print(f"{name}: {line}", flush=True)
         if line != EXPECTED[name]:
             differ.append(name)

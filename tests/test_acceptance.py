@@ -75,7 +75,7 @@ def test_criterion_01_pd_setup(pd_game, capsys):
 
 def test_criterion_02_pd_impatient_collapse(pd_game, pinned_runs, capsys):
     checks = []
-    runs = {0.8: solve(pd_game, SolverConfig(delta=0.8)), 0.5: pinned_runs["pd delta=0.5 theta=0"][0]}
+    runs = {0.8: solve(pd_game, SolverConfig(delta=0.8)), 0.5: pinned_runs["pd delta=0.5 theta=0"]}
     for delta, rep in runs.items():
         dists = np.linalg.norm(rep.final_set.vertices, axis=1)
         checks.append(
@@ -88,7 +88,7 @@ def test_criterion_02_pd_impatient_collapse(pd_game, pinned_runs, capsys):
 
 
 def test_criterion_03_pd_patient_run(pinned_runs, capsys):
-    rep, _ = pinned_runs["pd delta=0.9 theta=0.02"]
+    rep = pinned_runs["pd delta=0.9 theta=0.02"]
     w0 = convex_hull(rep.trace[0].vertices)
     a = area(rep.final_set)
     checks = [
@@ -102,7 +102,7 @@ def test_criterion_03_pd_patient_run(pinned_runs, capsys):
 
 
 def test_criterion_04_cournot_patient_run(pinned_runs, capsys):
-    rep, _ = pinned_runs["cournot delta=0.9 theta=0.05"]
+    rep = pinned_runs["cournot delta=0.9 theta=0.05"]
     w0_area = area(convex_hull(rep.trace[0].vertices))
     a = area(rep.final_set)
     checks = [
@@ -116,7 +116,7 @@ def test_criterion_04_cournot_patient_run(pinned_runs, capsys):
 def test_criterion_05_cournot_impatient_collapse(cournot_game, pinned_runs, capsys):
     nash = pure_nash(cournot_game)
     target = cournot_game.payoffs[nash[0]]
-    rep, _ = pinned_runs["cournot delta=0.5 theta=0"]
+    rep = pinned_runs["cournot delta=0.5 theta=0"]
     dists = np.linalg.norm(rep.final_set.vertices - target, axis=1)
     checks = [
         (nash == [(1, 1)] and target.tolist() == [10, 4], "Nash profile wrong"),
@@ -218,7 +218,7 @@ def prefix(pinned_runs, game_file, game, delta, theta, max_iter):
     game, delta and theta where one runs that far, else a fresh solve."""
     for name, file, d, t, most in RUNS:
         if (file, d, t) == (game_file, delta, theta) and most >= max_iter:
-            return pinned_runs[name][0].trace[: max_iter + 1]
+            return pinned_runs[name].trace[: max_iter + 1]
     return solve(game, SolverConfig(delta=delta, theta=theta, max_iter=max_iter)).trace
 
 
@@ -343,8 +343,8 @@ def test_criterion_10_thread_determinism(pd_game_path, tmp_path, capsys):
 
 def test_simplification_tames_vertex_growth(pinned_runs, capsys):
     """Unsimplified iterates grow super-linearly; theta reins them in."""
-    sharp, _ = pinned_runs["pd delta=0.9 theta=0"]
-    coarse, _ = pinned_runs["pd delta=0.9 theta=0.02"]
+    sharp = pinned_runs["pd delta=0.9 theta=0"]
+    coarse = pinned_runs["pd delta=0.9 theta=0.02"]
     counts = [len(t.vertices) for t in sharp.trace[:11]]
     growth = np.diff(counts[:9])
     checks = [

@@ -44,7 +44,7 @@ def payoffs(game, a, delta, w, tol=DEFAULT_TOL):
     """P(a) against w from a freshly compiled system; an infeasible
     profile compiles to None, and its P(a) is empty."""
     system = aps.compile_profile(game, a, delta)
-    return (PolygonV.empty(), 0) if system is None else enforceable_payoffs(system, w, tol)
+    return (PolygonV.empty(), None) if system is None else enforceable_payoffs(system, w, tol)
 
 
 @pytest.fixture(scope="module")
@@ -102,7 +102,7 @@ class TestIcConstraints:
         # the diagonal rows take k from the weights, and the closed form holds
         assert system.diagonal.shape == (0, 2)
         p, pivots = enforceable_payoffs(system, pd_w0)
-        assert pivots == 0 and p.vertices.tolist() == [[0.0, 0.0]]
+        assert pivots is None and p.vertices.tolist() == [[0.0, 0.0]]
 
     def test_cournot_row_count(self, cournot_game):
         system = compile_profile(cournot_game, (0, 0), 0.9)
@@ -136,7 +136,7 @@ class TestEnforceablePayoffs:
         from ppesolve.geometry import PolygonV
 
         p, pivots = enforceable_payoffs(aps.compile_profile(pd_game, CC, 0.9), PolygonV.empty())
-        assert p.is_empty and pivots == 0
+        assert p.is_empty and pivots is None
 
     @pytest.mark.parametrize("profile", [CC, CD, DC, DD])
     def test_vertices_carry_certificates(self, pd_game, pd_w0, profile):
@@ -235,6 +235,7 @@ class TestApplyB:
         assert list(res.per_action) == [(labels[0][i], labels[1][j]) for i, j in cournot_game.profiles()]
         empty = list(res.per_action.values())[:4]
         assert all(p is PolygonV.empty() for p in empty) and not empty[0].vertices.flags.writeable
+        assert list(res.pivots) == list(res.per_action)[4:]  # only the profiles computed
 
     def test_result_within_input(self, pd_game, pd_w0):
         res = apply_B(pd_game, 0.9, pd_w0)
@@ -298,7 +299,7 @@ class TestCompiledProfiles:
         """At every iterate, each system that solve passes gives what a
         freshly compiled system gives."""
         game = request.getfixturevalue(game_name)
-        pinned, _ = pinned_runs[name]
+        pinned = pinned_runs[name]
         original = aps.apply_B
         checked = []
 
@@ -315,12 +316,7 @@ class TestCompiledProfiles:
         monkeypatch.setattr(aps, "apply_B", comparing)
         rep = solve(game, pinned.config)
         assert rep.iterations == pinned.iterations
-        # a profile is computed up to and including its first empty P(a)
-        calls = sum(
-            next((k for k, t in enumerate(rep.trace[1:], 1) if not t.enforceable[label]), rep.iterations)
-            for label in rep.trace[1].enforceable
-        )
-        assert len(checked) == calls == computed(name, pinned)
+        assert len(checked) == sum(len(t.pivots) for t in rep.trace) == computed(name, pinned)
 
 
 class TestProfileSystemOnPinnedIterates:
@@ -334,7 +330,7 @@ class TestProfileSystemOnPinnedIterates:
         for name, game_file, delta, _, _ in RUNS:
             if game_file not in games:
                 continue
-            report, _ = pinned_runs[name]
+            report = pinned_runs[name]
             systems = aps.compile_profiles(parse_game((GAMES / game_file).read_text()), delta)
             for t in report.trace:
                 if len(t.vertices):
@@ -355,8 +351,8 @@ class TestProfileSystemOnPinnedIterates:
                     <= tol.eps * np.maximum(1.0, np.abs(offsets))
                 ))
                 walked.clear()
-                enforceable_payoffs(system, w, tol)
-                assert tiled == (not walked), f"{name}, {w.num_vertices}-vertex iterate"
+                _, pivots = enforceable_payoffs(system, w, tol)
+                assert tiled == (not walked) == (pivots is None), f"{name}, {w.num_vertices}-vertex iterate"
                 decided[tiled] += 1
         assert decided[True] > 0 and decided[False] > 0
 
@@ -420,7 +416,7 @@ class TestSolverConfig:
 
 class TestSolve:
     def test_pd_high_discount(self, pinned_runs):
-        rep, _ = pinned_runs["pd delta=0.9 theta=0.02"]
+        rep = pinned_runs["pd delta=0.9 theta=0.02"]
         assert rep.converged and rep.stop_reason == "area_epsilon"
         assert rep.iterations == len(rep.trace) - 1
         assert rep.trace[0].area == pytest.approx(16 / 3, abs=1e-9)
@@ -434,7 +430,7 @@ class TestSolve:
         assert contains_point(rep.final_set, (0.0, 0.0), 1e-6)
 
     def test_pd_low_discount_collapses(self, pinned_runs):
-        rep, _ = pinned_runs["pd delta=0.5 theta=0"]
+        rep = pinned_runs["pd delta=0.5 theta=0"]
         assert rep.converged and rep.stop_reason == "hausdorff_epsilon"
         assert np.all(np.abs(rep.final_set.vertices) < 0.05)
 
@@ -453,11 +449,11 @@ class TestSolve:
 
     @pytest.mark.parametrize("name", [run[0] for run in RUNS])
     def test_iterates_match_pinned_hashes(self, pinned_runs, name):
-        assert report_line(*pinned_runs[name]) == EXPECTED[name]
+        assert report_line(pinned_runs[name]) == EXPECTED[name]
 
     def test_exact_cournot_known_answer(self, pinned_runs):
         # the same answer the vertex enumerator gave in about a minute
-        rep, _ = pinned_runs["cournot delta=0.9 theta=0"]
+        rep = pinned_runs["cournot delta=0.9 theta=0"]
         assert rep.stop_reason == "area_epsilon" and rep.iterations == 24
         assert area(rep.final_set) == pytest.approx(190.2176, abs=1e-3)
 
@@ -475,17 +471,12 @@ class TestSolve:
         assert len(rep.trace) == 1
 
     def test_trace_vertices_rebuild_each_iterate(self, pinned_runs):
-        trace = pinned_runs["pd delta=0.9 theta=0"][0].trace[:6]
+        trace = pinned_runs["pd delta=0.9 theta=0"].trace[:6]
         for prev, cur in zip(trace, trace[1:]):
             p = convex_hull(prev.vertices)
             c = convex_hull(cur.vertices)
             assert contains_polygon(p, c, 1e-7)
             assert cur.area == pytest.approx(area(c), abs=1e-12)
-
-    def test_theta_reduces_vertex_counts(self, pinned_runs):
-        sharp, _ = pinned_runs["pd delta=0.9 theta=0"]
-        coarse, _ = pinned_runs["pd delta=0.9 theta=0.02"]
-        assert len(coarse.trace[10].vertices) <= len(sharp.trace[10].vertices)
 
     def test_small_random_games(self):
         rng = np.random.default_rng(1400)
@@ -514,8 +505,8 @@ class TestOuterBound:
         """B_theta(W) contains B(W) and B is monotone, so by induction,
         clip included, each theta > 0 iterate (criteria 03 and 04)
         contains the exact iterate of the same index."""
-        coarse, _ = pinned_runs[name]
-        exact, _ = pinned_runs[twin]
+        coarse = pinned_runs[name]
+        exact = pinned_runs[twin]
         scale = max(1.0, request.getfixturevalue(game_name).payoff_magnitude)
         assert len(exact.trace) >= len(coarse.trace)
         worst, k = max(
@@ -571,16 +562,16 @@ class TestDiagonalClosedForm:
                 p, pivots = enforceable_payoffs(system, w, tol)
                 want = convex_hull((1 - delta) * game.payoffs[a] + delta * w.vertices, tol)
                 assert hausdorff(p, want) <= tol.eps, f"P{a} at iterate {k}"
-                assert pivots == 0, f"P{a} walked at iterate {k}"
+                assert pivots is None, f"P{a} walked at iterate {k}"
                 checked[folds] += 1
         return checked
 
     def test_criterion_03_pd(self, pd_game, pinned_runs):
-        rep, _ = pinned_runs["pd delta=0.9 theta=0.02"]
+        rep = pinned_runs["pd delta=0.9 theta=0.02"]
         assert self.assert_nash_profiles_settle(pd_game, rep) == {True: 0, False: len(rep.trace)}
 
     def test_criterion_04_cournot(self, cournot_game, pinned_runs):
-        rep, _ = pinned_runs["cournot delta=0.9 theta=0.05"]
+        rep = pinned_runs["cournot delta=0.9 theta=0.05"]
         assert self.assert_nash_profiles_settle(cournot_game, rep) == {True: 0, False: len(rep.trace)}
 
     def test_random_games(self):
@@ -614,7 +605,7 @@ class TestDiagonalClosedForm:
         return w, k, np.array(normals), np.array(offsets)
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_rows_holding_on_the_diagonal(self, seed, walks):
+    def test_rows_holding_on_the_diagonal(self, seed):
         rng = np.random.default_rng(1810 + seed)
         tol = Tolerances()
         for trial in range(15):
@@ -627,7 +618,7 @@ class TestDiagonalClosedForm:
             # per-block maxima over W's vertices, exceeds its offset
             assert np.all((normals.reshape(-1, k, 2) @ w.vertices.T).max(axis=2).sum(axis=1) > offsets)
             p, pivots = enforceable_payoffs(hand_built_system(normals, offsets, weights, c), w, tol)
-            assert pivots == 0 and not walks, f"trial {trial}: walked"
+            assert pivots is None, f"trial {trial}: walked"
             image = convex_hull(w.vertices * 0.8 + c)
             assert match_point_sets(p.vertices, image.vertices, 1e-12), f"trial {trial}"
             # a row held only within the band leaves the oracle, whose own
@@ -646,8 +637,7 @@ class TestDiagonalClosedForm:
             b = dv[j] - 2 * tol.eps * max(1.0, abs(dv[j])) * (1 + 1e-6)
             normals2, offsets2 = np.vstack([normals, n]), np.append(offsets, b)
             p, pivots = enforceable_payoffs(hand_built_system(normals2, offsets2, weights, c), w, tol)
-            assert len(walks) == 1 and pivots > 0, f"trial {trial}: the cut diagonal vertex was not walked"
-            walks.clear()
+            assert pivots is not None and pivots > 0, f"trial {trial}: the cut diagonal vertex was not walked"
             # P(a) lies in c + delta W; the walk's band lets its vertices
             # stray past W's rows by about eps
             assert not p.is_empty and contains_polygon(image, p, 1e-7), f"trial {trial}, extra row"
@@ -665,7 +655,7 @@ class TestMonotoneSkip:
     )
     def test_skip_matches_fresh_application(self, request, monkeypatch, pinned_runs, game_name, name):
         game = request.getfixturevalue(game_name)
-        pinned, _ = pinned_runs[name]
+        pinned = pinned_runs[name]
         skipped = len(list(game.profiles())) * pinned.iterations - computed(name, pinned)
         apply_original, payoffs_original = aps.apply_B, aps.enforceable_payoffs
         calls = []  # (iterate, profile, empty) of the solve's own calls
@@ -697,6 +687,10 @@ class TestMonotoneSkip:
         rep = solve(game, pinned.config)
         assert iterate[0] == rep.iterations == pinned.iterations and none_slots[0] == skipped
         assert all(len(t.enforceable) == len(list(game.profiles())) for t in rep.trace[1:])
+        # the trace lists, per application, the profiles it computed
+        label_of = dict(zip(game.profiles(), game.profile_keys))
+        for k, t in enumerate(rep.trace):
+            assert list(t.pivots) == [label_of[a] for j, a, _ in calls if j == k], f"application {k}"
         first_empty = {}
         for k, a, empty in calls:
             assert a not in first_empty, f"P{a} computed at iterate {k}, after it was empty at {first_empty.get(a)}"

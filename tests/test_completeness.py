@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from ppesolve import aps, parse_game
+from ppesolve import parse_game
 from ppesolve.aps import (
     Certificate,
     SolverConfig,
@@ -121,7 +121,7 @@ def assert_complete(game, delta, w, tol):
 
 def iterates(pinned_runs, name):
     """A pinned run's iterates as polygons, and its tolerances."""
-    report, _ = pinned_runs[name]
+    report = pinned_runs[name]
     return [PolygonV(t.vertices) for t in report.trace], report.tolerances
 
 
@@ -193,7 +193,7 @@ class TestEmptiness:
     )
     def test_benchmark_iterates(self, request, pinned_runs, game_name, name, empty):
         game = request.getfixturevalue(game_name)
-        delta = pinned_runs[name][0].config.delta
+        delta = pinned_runs[name].config.delta
         ws, tol = iterates(pinned_runs, name)
         required = found = 0
         for w in ws:
@@ -275,7 +275,7 @@ class TestFold:
         assert set(counts.values()) == {2}
 
 
-def assert_closed_form_matches_walk(game, delta, ws, tol, walks):
+def assert_closed_form_matches_walk(game, delta, ws, tol):
     """Where the closed form settles P(a), on any profile and any W in
     ws, the walk on the same compiled system finds the same polygon.
     Returns how many (profile, W) pairs the closed form settled."""
@@ -285,9 +285,8 @@ def assert_closed_form_matches_walk(game, delta, ws, tol, walks):
             system = compile_profile(game, a, delta)
             if system is None:
                 continue
-            walks.clear()
-            p, _ = enforceable_payoffs(system, w, tol)
-            if walks:
+            p, pivots = enforceable_payoffs(system, w, tol)
+            if pivots is not None:
                 continue
             ref, _ = shadow_polygon(w, system.weights, system.normals, system.offsets(w), system.c, tol)
             assert not ref.is_empty, f"P{a}: the walk finds it empty"
@@ -303,20 +302,20 @@ class TestClosedForm:
 
     W = PolygonV(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]))
 
-    def test_cournot_collapse_iterates(self, cournot_game, pinned_runs, walks):
+    def test_cournot_collapse_iterates(self, cournot_game, pinned_runs):
         ws, tol = iterates(pinned_runs, "cournot delta=0.5 theta=0")  # the cournot-collapse benchmark
-        assert assert_closed_form_matches_walk(cournot_game, 0.5, ws, tol, walks) > 0
+        assert assert_closed_form_matches_walk(cournot_game, 0.5, ws, tol) > 0
 
-    def test_criterion_04_iterates(self, cournot_game, pinned_runs, walks):
+    def test_criterion_04_iterates(self, cournot_game, pinned_runs):
         ws, tol = iterates(pinned_runs, "cournot delta=0.9 theta=0.05")
-        assert assert_closed_form_matches_walk(cournot_game, 0.9, ws, tol, walks) > 0
+        assert assert_closed_form_matches_walk(cournot_game, 0.9, ws, tol) > 0
 
     @pytest.mark.parametrize("seed", SPARSE_SEEDS)
-    def test_sparse_support_games(self, seed, walks):
+    def test_sparse_support_games(self, seed):
         game, ws = sparse_support_case(seed)
         tol = Tolerances().scaled(game.payoff_magnitude)
         # seeds 3 and 9 have no profile the closed form settles
-        assert_closed_form_matches_walk(game, SPARSE_DELTA, ws, tol, walks)
+        assert_closed_form_matches_walk(game, SPARSE_DELTA, ws, tol)
 
     @staticmethod
     def one_row_game(gain):
@@ -324,13 +323,6 @@ class TestClosedForm:
         probs = np.array([[[0.9, 0.1]], [[0.1, 0.9]]])
         payoffs = np.array([[[0.0, 0.0]], [[gain, 0.0]]])
         return StageGame((("a0", "a1"), ("b",)), payoffs, ("y0", "y1"), probs)
-
-    @pytest.fixture
-    def no_walk(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("the closed form should have settled this profile")
-
-        monkeypatch.setattr(aps, "shadow_polygon", refuse)
 
     def test_row_minimum_above_offset_is_empty(self):
         game = self.one_row_game(100.0)
@@ -341,13 +333,13 @@ class TestClosedForm:
         p, _ = payoffs(game, (0, 0), 0.5, self.W)
         assert p.is_empty
 
-    def test_all_slack_profile_is_discounted_stage_payoff_plus_w(self, no_walk):
+    def test_all_slack_profile_is_discounted_stage_payoff_plus_w(self):
         game = self.one_row_game(-100.0)
         delta = 0.5
         scale = max(1.0, game.payoff_magnitude)
         p, pivots = payoffs(game, (0, 0), delta, self.W)
         expected = convex_hull((1 - delta) * game.payoffs[0, 0] + delta * self.W.vertices)
-        assert pivots == 0 and p.num_vertices == 4
+        assert pivots is None and p.num_vertices == 4
         assert hausdorff(p, expected) <= 1e-12 * scale
         assert abs(area(p) - delta**2) <= 1e-12 * scale
 
@@ -362,7 +354,7 @@ class TestClosedForm:
     }
 
     @pytest.mark.parametrize("name", ROW_FREE_GAMES)
-    def test_row_free_profile_is_discounted_stage_payoff_plus_w(self, name, no_walk):
+    def test_row_free_profile_is_discounted_stage_payoff_plus_w(self, name):
         spec, a, _ = self.ROW_FREE_GAMES[name]
         game = parse_game(json.dumps(spec))
         delta = 0.3
@@ -372,7 +364,7 @@ class TestClosedForm:
         for w in (self.W, individually_rational_set(game).individually_rational):
             p, pivots = payoffs(game, a, delta, w)
             expected = convex_hull((1 - delta) * game.payoffs[a] + delta * w.vertices)
-            assert pivots == 0 and not p.is_empty
+            assert pivots is None and not p.is_empty
             assert hausdorff(p, expected) <= 1e-12 * scale
 
     @pytest.mark.parametrize("name", ROW_FREE_GAMES)

@@ -7,6 +7,7 @@ from ppesolve.geometry import (
     PolygonV,
     Tolerances,
     _dists_to_polygon,
+    _exact_turn,
     area,
     canonical_polygon,
     contains_polygon,
@@ -28,6 +29,8 @@ from oracles import (
 )
 
 RNG = np.random.default_rng(20240817)
+# a vertex inside the band past x <= 0, on an edge nearly parallel to it
+BAND_REPRO = PolygonV(np.array([[-1.0, -1.0], [5e-10, -1.0], [1e-3, 10.0], [-1.0, 10.0]]))
 
 
 def random_hull(n_points=12, scale=3.0, rng=RNG):
@@ -60,6 +63,8 @@ class TestPolygonV:
             assert got.tobytes() == want.tobytes()
         with pytest.raises(ValueError):
             p.vertices[0, 0] = 1.0
+        with pytest.raises(ValueError):  # not even unchecked
+            p.vertices.resize((1, 2), refcheck=False)
 
     def test_value_equality_and_hash(self):
         """Polygons compare and hash by their vertices' float64 bytes."""
@@ -76,6 +81,9 @@ class TestPolygonV:
         assert empty is PolygonV.empty() and empty == PolygonV(np.zeros((0, 2)))
         assert hash(empty) == hash(PolygonV(np.zeros((0, 2)))) and empty in {convex_hull([])}
         assert not empty.vertices.flags.writeable
+        with pytest.raises(ValueError):
+            empty.vertices.resize((1, 2), refcheck=False)
+        assert PolygonV.empty().is_empty
 
 
 class TestConvexHull:
@@ -343,6 +351,14 @@ class TestClipping:
     def test_empty_result(self):
         p = convex_hull([(0, 0), (1, 0), (0, 1)])
         assert intersect_halfplane(p, (1, 0), -1.0).is_empty
+
+    def test_band_vertex_beside_a_near_parallel_edge(self):
+        """(5e-10, -1) lies in the band past x <= 0 and is kept; its edge
+        to (1e-3, 10) crosses the line only behind it, so the walk emits
+        no cut point there.  One would lie 5.5e-6 outside the polygon,
+        beyond the merge, and make (5e-10, -1) a reflex vertex."""
+        got = intersect_halfplane(BAND_REPRO, [1.0, 0.0], 0.0, Tolerances(1e-9))
+        assert got.vertices.tolist() == [[-1.0, -1.0], [5e-10, -1.0], [0.0, 10.0], [-1.0, 10.0]]
 
     def test_intersect_polygons(self):
         a = convex_hull([(0, 0), (2, 0), (2, 2), (0, 2)])
@@ -684,3 +700,46 @@ class TestRdp:
         a, b = rdp_simplify(p, theta), rdp_simplify(q, theta)
         assert a.num_vertices == b.num_vertices
         assert hausdorff(a, b) <= 1e-12
+
+
+def assert_strictly_convex(p):
+    """Distinct vertices from the lexicographic least, every turn strictly left."""
+    v = [tuple(x) for x in p.vertices.tolist()]
+    assert len(set(v)) == len(v) and v[:1] == sorted(v)[:1]
+    assert len(v) < 3 or all(_exact_turn(v[i - 1], x, v[(i + 1) % len(v)]) > 0 for i, x in enumerate(v)), v
+
+
+def band_cuts(p, rng, tol):
+    """Lines that leave a vertex of p inside the band past them and its
+    neighbour, along a near-parallel edge, beyond it: an edge's outward
+    normal turned by a small angle, one way or the other."""
+    normals, _ = halfspace_rows(p)
+    for i in rng.integers(p.num_vertices, size=6):
+        for turn, near in ((1.0, i), (-1.0, (i + 1) % p.num_vertices)):
+            a = turn * 10.0 ** rng.uniform(-9, -3)
+            n = np.array([[np.cos(a), -np.sin(a)], [np.sin(a), np.cos(a)]]) @ normals[i]
+            b = n @ p.vertices[near]
+            yield n, b - rng.uniform(0.05, 1.0) * tol.eps * max(1.0, abs(b))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_builders_return_strictly_convex_cycles(seed):
+    """The clip, the intersection, the simplification, the hull and the
+    canonical finish each return a strictly convex CCW cycle, on polygons
+    cut next to a vertex in the band (seed 0: `BAND_REPRO`)."""
+    rng = np.random.default_rng(9300 + seed)
+    p = BAND_REPRO if seed == 0 else random_hull(int(rng.integers(3, 30)), 10.0 ** rng.uniform(-1, 2), rng)
+    far = 1e3 * float(np.abs(p.vertices).max())
+    tol = Tolerances().scaled(far / 1e3)
+    for n, b in [(np.array([1.0, 0.0]), 0.0)] * (seed == 0) + list(band_cuts(p, rng, tol)):
+        # the same line as an edge of a polygon q that reaches nowhere else near p
+        on, along = b * n, far * np.array([-n[1], n[0]])
+        q = convex_hull([on - along, on + along, on + along - far * n, on - along - far * n], tol)
+        for out in (intersect_halfplane(p, n, b, tol), intersect_polygons(p, q, tol)):
+            # out's cycle from another start, with a point inserted on its first edge
+            cycle = np.roll(out.vertices, -int(rng.integers(max(1, out.num_vertices))), axis=0).tolist()
+            cycle[1:1] = [np.mean(cycle[:2], axis=0).tolist()] if cycle else []
+            hull = convex_hull(np.vstack([out.vertices, 0.5 * out.vertices]), tol)
+            finished = canonical_polygon(cycle, tol) if cycle else out
+            for got in (out, hull, finished, *(rdp_simplify(out, t, tol) for t in (1e-6, 1e-2, 1.0))):
+                assert_strictly_convex(got)

@@ -80,7 +80,7 @@ class TestPlayerSwapSymmetry:
     iterates."""
 
     def test_exact_pd_iterates(self, pinned_runs):
-        rep, _ = pinned_runs["pd delta=0.9 theta=0"]
+        rep = pinned_runs["pd delta=0.9 theta=0"]
         for t in rep.trace[:9]:
             assert mirrors_itself(t.vertices, rep.tolerances.eps), t.iteration
 
@@ -102,7 +102,7 @@ class TestPlayerSwapSymmetry:
             assert mirrors_itself(t.vertices, rep.tolerances.eps), t.iteration
 
     def test_criterion_03_iterates(self, pinned_runs):
-        rep, _ = pinned_runs["pd delta=0.9 theta=0.02"]
+        rep = pinned_runs["pd delta=0.9 theta=0.02"]
         for t in rep.trace:
             assert mirrors_itself(t.vertices, rep.tolerances.eps), t.iteration
 

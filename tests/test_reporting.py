@@ -47,7 +47,7 @@ CASES = {
 
 def svg_report(w0, final):
     w0 = np.asarray(w0, dtype=float)
-    trace = (IterationTrace(0, w0, 0.0, math.nan, math.nan, {}, 0.0),)
+    trace = (IterationTrace(0, w0, 0.0, math.nan, math.nan, {}, {}, 0.0),)
     return Report(trace, "area_epsilon", PolygonV(final), SolverConfig(delta=0.9), Tolerances())
 
 
@@ -62,7 +62,7 @@ def test_svg_bytes_are_pinned(case, tmp_path):
 def test_trace_csv_cells_are_the_iterates(pinned_runs, tmp_path):
     """Every numeric cell of trace.csv parses with float(), and each
     vertices cell gives back its iterate exactly."""
-    report, _ = pinned_runs["pd delta=0.9 theta=0.02"]
+    report = pinned_runs["pd delta=0.9 theta=0.02"]
     path = tmp_path / "trace.csv"
     write_trace_csv(report, path)
     with open(path, newline="") as f:
