@@ -154,7 +154,9 @@ class ProfileSystem:
     x -> c + sum_y weights[y] x_y.  An iterate changes only W, so all
     of this stays fixed for a whole solve but the offsets of rows that
     fold a signal, which follow W's lowest payoff per player; when no
-    signal folds, the offsets are ic_offsets for every W.
+    signal folds, the offsets are ic_offsets for every W.  Its arrays
+    are read-only private copies, so a stored system cannot drift from
+    a fresh `compile_profile`.
     """
 
     normals: np.ndarray  # (r, 2k) unit rows over the kept blocks
@@ -168,6 +170,11 @@ class ProfileSystem:
     def __post_init__(self):
         # normals . (x, ..., x) = diagonal . x; k from the weights, as a profile may have no rows
         object.__setattr__(self, "diagonal", self.normals.reshape(-1, len(self.weights), 2).sum(axis=1))
+        # as PolygonV does: a view of a private copy can be neither written nor resized
+        for name in ("normals", "ic_offsets", "folded", "norm", "weights", "c", "diagonal"):
+            a = np.array(getattr(self, name), dtype=float).view()
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
     def offsets(self, w: PolygonV) -> np.ndarray:
         """Row offsets over W: a folded signal's block sits at W's lowest

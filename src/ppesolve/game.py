@@ -84,10 +84,6 @@ class PayoffSetPair:
     feasible: PolygonV  # W*
     individually_rational: PolygonV  # W0
 
-    @property
-    def ir_empty(self) -> bool:
-        return self.individually_rational.is_empty
-
 
 def _num(x, where: str) -> float:
     if isinstance(x, bool):
@@ -188,19 +184,6 @@ def parse_game(text: str) -> StageGame:
             probs[i, j] = p / total
 
     return StageGame((a1, a2), payoffs, signals, probs)
-
-
-def serialize_game(game: StageGame) -> str:
-    """Inverse of parse_game up to numeric formatting."""
-    return json.dumps(
-        {
-            "actions": [list(game.action_labels[0]), list(game.action_labels[1])],
-            "payoffs": game.payoffs.tolist(),
-            "signals": list(game.signal_labels),
-            "signal_probs": game.signal_probs.tolist(),
-        },
-        indent=2,
-    )
 
 
 def minmax(game: StageGame) -> MinmaxPair:

@@ -30,7 +30,8 @@ from ppesolve.geometry import (
 from ppesolve.shadow import shadow_polygon
 
 from iterate_hashes import RUNS
-from oracles import byte_equal, match_point_sets, polytope_vertices_bruteforce, product_rows
+from oracles import byte_equal, match_point_sets
+from test_shadow import reference
 
 
 def announce(capsys, label, checks):
@@ -157,12 +158,12 @@ def test_criterion_06_myopic_oracle(capsys):
 def test_criterion_07_vertex_enum_oracle(capsys):
     """The shadow walk's image of W^k cut by random rows, for k in 1..3
     and W a polygon, a segment or a point, against the hull of the image
-    of the brute-force vertices: each row misses W^k, cuts it, or
-    excludes all of it.  The walk takes random signal weights; the
-    oracle maps through kron(weights, I), whose block y is weights[y]
-    times the identity.  The walk keeps its images in the CCW order it
-    visits them, so its polygon must also be canonical: hulling it
-    again changes no byte."""
+    of the brute-force vertices (`test_shadow.reference`): each row
+    misses W^k, cuts it, or excludes all of it.  The walk takes random
+    signal weights; the oracle maps through kron(weights, I), whose
+    block y is weights[y] times the identity.  The walk keeps its
+    images in the CCW order it visits them, so its polygon must also be
+    canonical: hulling it again changes no byte."""
     rng = np.random.default_rng(20240822)
     # the maps come from their own stream, so the systems stay those of rng
     maps = np.random.default_rng(20240823)
@@ -195,12 +196,8 @@ def test_criterion_07_vertex_enum_oracle(capsys):
         got, _ = shadow_polygon(w, weights, normals, offsets, c, tol)
         if not byte_equal(convex_hull(got.vertices, tol), got):
             failures.append(f"trial {trial}: hulling the walk's polygon again moves it")
-        w_normals, w_offsets = product_rows(*halfspace_rows(w), k)
-        want = polytope_vertices_bruteforce(
-            np.vstack([w_normals, normals]), np.concatenate([w_offsets, offsets])
-        )
-        seen.add((shape, k, "empty" if len(want) == 0 else "nonempty"))
-        ref = convex_hull(want @ np.kron(weights, np.eye(2)).T + c, tol)
+        ref = reference(w, weights, normals, offsets, c)
+        seen.add((shape, k, "empty" if ref.is_empty else "nonempty"))
         if not match_point_sets(got.vertices, ref.vertices, 1e-7):
             failures.append(f"trial {trial}: {got.num_vertices} vs oracle {ref.num_vertices}")
     missing = {"miss", "cut", "empty"} - seen

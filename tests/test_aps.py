@@ -22,6 +22,7 @@ from ppesolve.geometry import (
     contains_polygon,
     convex_hull,
     hausdorff,
+    intersect_polygons,
     _dists_to_polygon,
 )
 
@@ -31,13 +32,6 @@ from test_shadow import reference
 
 CC, CD, DC, DD = (0, 0), (0, 1), (1, 0), (1, 1)
 STOP_REASONS = {"area_epsilon", "hausdorff_epsilon", "max_iter", "empty_set"}
-# P(a) computations over a pinned run: solve skips a profile once its
-# P(a) is empty, which happens on cournot-collapse alone
-COMPUTED = {"cournot delta=0.5 theta=0": 101}
-
-
-def computed(name, report):
-    return COMPUTED.get(name, len(report.trace[1].enforceable) * report.iterations)
 
 
 def payoffs(game, a, delta, w, tol=DEFAULT_TOL):
@@ -121,11 +115,6 @@ class TestEnforceablePayoffs:
             [(0.6, 0.6), (2.2, 0.6), (1.8, 1.8), (0.6, 2.2)],
             1e-7,
         )
-
-    def test_empty_when_ic_infeasible(self, pd_game, pd_w0):
-        assert aps.compile_profile(pd_game, CC, 0.0) is None
-        res = apply_B(pd_game, 0.0, pd_w0)
-        assert res.per_action[("C", "C")].is_empty
 
     def test_static_nash_value_always_enforceable(self, pd_game, pd_w0):
         for delta in (0.0, 0.5, 0.9):
@@ -276,47 +265,42 @@ class TestApplyB:
 
 class TestCompiledProfiles:
     """solve compiles each profile's system once; every iterate then does
-    only the W-dependent work, with the result a fresh call gives."""
+    only the W-dependent work."""
 
     def test_ic_rows_built_once_per_profile(self, cournot_game, monkeypatch):
-        calls = []
+        """Each profile compiles once, and P(a) is computed only while it
+        was nonempty at the last iterate: cournot-collapse computes 101
+        of its 36 x 9 sets, each of them listed in its trace."""
+        compiled, computed = [], []
 
-        def counting(game, a, delta):
-            calls.append(a)
+        def compiling(game, a, delta):
+            compiled.append(a)
             return compile_profile(game, a, delta)
 
-        monkeypatch.setattr(aps, "compile_profile", counting)
+        def computing(system, w, tol):
+            computed.append(system)
+            return enforceable_payoffs(system, w, tol)
+
+        monkeypatch.setattr(aps, "compile_profile", compiling)
+        monkeypatch.setattr(aps, "enforceable_payoffs", computing)
         rep = solve(cournot_game, SolverConfig(delta=0.5))
         assert rep.iterations == 36
-        assert sorted(calls) == sorted(cournot_game.profiles())
+        assert sorted(compiled) == sorted(cournot_game.profiles())
+        assert len(computed) == sum(len(t.pivots) for t in rep.trace) == 101
 
-    @pytest.mark.parametrize(
-        "game_name, name",
-        [("cournot_game", "cournot delta=0.5 theta=0"), ("pd_game", "pd delta=0.9 theta=0.02")],
-        ids=["cournot-collapse", "pd theta=0.02"],
-    )
-    def test_compiled_matches_fresh_call(self, request, monkeypatch, pinned_runs, game_name, name):
-        """At every iterate, each system that solve passes gives what a
-        freshly compiled system gives."""
-        game = request.getfixturevalue(game_name)
-        pinned = pinned_runs[name]
-        original = aps.apply_B
-        checked = []
-
-        def comparing(game, delta, w, theta, tol, systems):
-            for a, system in zip(game.profiles(), systems):
-                if system is None:
-                    continue
-                got, pivots = enforceable_payoffs(system, w, tol)
-                fresh, fresh_pivots = enforceable_payoffs(aps.compile_profile(game, a, delta), w, tol)
-                assert byte_equal(got, fresh) and pivots == fresh_pivots, f"P{a} at call {len(checked)}"
-                checked.append(a)
-            return original(game, delta, w, theta, tol, systems)
-
-        monkeypatch.setattr(aps, "apply_B", comparing)
-        rep = solve(game, pinned.config)
-        assert rep.iterations == pinned.iterations
-        assert len(checked) == sum(len(t.pivots) for t in rep.trace) == computed(name, pinned)
+    def test_stored_arrays_are_read_only(self, pd_game):
+        """A system keeps read-only copies of its arrays, so one that solve
+        stores gives what a fresh compile gives for the whole run."""
+        system = compile_profile(pd_game, CC, 0.9)
+        for name in ("normals", "ic_offsets", "weights"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(system, name)[0] = 0.0
+            with pytest.raises(ValueError):
+                getattr(system, name).resize(1, refcheck=False)
+        normals = np.array(system.normals)
+        copy = aps.ProfileSystem(normals, system.ic_offsets, system.folded, system.norm, system.weights, system.c)
+        normals[0] = 0.0
+        assert copy.normals.tobytes() == system.normals.tobytes()
 
 
 class TestProfileSystemOnPinnedIterates:
@@ -415,36 +399,11 @@ class TestSolverConfig:
 
 
 class TestSolve:
-    def test_pd_high_discount(self, pinned_runs):
-        rep = pinned_runs["pd delta=0.9 theta=0.02"]
-        assert rep.converged and rep.stop_reason == "area_epsilon"
-        assert rep.iterations == len(rep.trace) - 1
-        assert rep.trace[0].area == pytest.approx(16 / 3, abs=1e-9)
-        w0 = convex_hull(rep.trace[0].vertices)
-        assert contains_polygon(w0, rep.final_set, 1e-6)
-        assert 0 < area(rep.final_set) < 16 / 3
-        # monotone descent, every step
-        for t in rep.trace[1:]:
-            assert t.area_diff >= -1e-9
-        # the punishment payoff survives every round of cutting
-        assert contains_point(rep.final_set, (0.0, 0.0), 1e-6)
-
-    def test_pd_low_discount_collapses(self, pinned_runs):
-        rep = pinned_runs["pd delta=0.5 theta=0"]
-        assert rep.converged and rep.stop_reason == "hausdorff_epsilon"
-        assert np.all(np.abs(rep.final_set.vertices) < 0.05)
-
     def test_max_iter_stop(self, pd_game):
         rep = solve(pd_game, SolverConfig(delta=0.9, max_iter=3))
         assert not rep.converged
         assert rep.stop_reason == "max_iter"
         assert len(rep.trace) == 4
-
-    def test_exact_pd_stops_on_max_iter(self, pd_game):
-        # iterate 12 has 539 vertices: the exact run needs no vertex cap
-        rep = solve(pd_game, SolverConfig(delta=0.9, max_iter=13))
-        assert rep.stop_reason == "max_iter" and not rep.converged
-        assert rep.iterations == 13
         assert np.array_equal(rep.final_set.vertices, rep.trace[-1].vertices)
 
     @pytest.mark.parametrize("name", [run[0] for run in RUNS])
@@ -472,6 +431,7 @@ class TestSolve:
 
     def test_trace_vertices_rebuild_each_iterate(self, pinned_runs):
         trace = pinned_runs["pd delta=0.9 theta=0"].trace[:6]
+        assert trace[0].area == pytest.approx(16 / 3, abs=1e-9)
         for prev, cur in zip(trace, trace[1:]):
             p = convex_hull(prev.vertices)
             c = convex_hull(cur.vertices)
@@ -643,56 +603,37 @@ class TestDiagonalClosedForm:
             assert not p.is_empty and contains_polygon(image, p, 1e-7), f"trial {trial}, extra row"
 
 
-class TestMonotoneSkip:
-    """Once P(a) is empty, solve does not compute it again, and each
-    iterate is byte for byte what a fresh application gives."""
+class TestTraceReplay:
+    """Each application of a pinned run is what `apply_B` gives on the
+    last iterate of its trace, read from the trace alone.
 
-    @pytest.mark.parametrize(
-        "game_name, name",
-        [("pd_game", "pd delta=0.9 theta=0.02"), ("cournot_game", "cournot delta=0.5 theta=0"),
-         ("cournot_game", "cournot-patient delta=0.9 theta=0.05")],
-        ids=["pd theta=0.02", "cournot-collapse", "cournot-patient"],
-    )
-    def test_skip_matches_fresh_application(self, request, monkeypatch, pinned_runs, game_name, name):
-        game = request.getfixturevalue(game_name)
-        pinned = pinned_runs[name]
-        skipped = len(list(game.profiles())) * pinned.iterations - computed(name, pinned)
-        apply_original, payoffs_original = aps.apply_B, aps.enforceable_payoffs
-        calls = []  # (iterate, profile, empty) of the solve's own calls
-        iterate, none_slots, fresh_call = [0], [0], [False]
-        profile_of = {}  # id of a system solve passes -> its profile
+    The run's compiled systems, with None for each profile whose P(a)
+    the last application found empty, give every P(a) byte for byte as
+    a call that compiles its own does: a profile skipped after it came
+    back empty would be empty again, since the operator is monotone and
+    each iterate lies in the last.  The trace lists exactly the profiles
+    computed, with the pivots of their walks, and its iterate is B(W)
+    clipped by W.  Exact PD is left out, as replaying it costs a second
+    solve of several seconds."""
 
-        def spying(system, w, tol):
-            p, pivots = payoffs_original(system, w, tol)
-            if not fresh_call[0]:
-                calls.append((iterate[0], profile_of[id(system)], p.is_empty))
-            return p, pivots
-
-        def comparing(game, delta, w, theta, tol, systems):
-            iterate[0] += 1
-            none_slots[0] += sum(s is None for s in systems)
-            profile_of.update((id(s), a) for a, s in zip(game.profiles(), systems) if s is not None)
-            got = apply_original(game, delta, w, theta, tol, systems)
-            fresh_call[0] = True
-            fresh = apply_original(game, delta, w, theta, tol)
-            fresh_call[0] = False
-            assert byte_equal(got.set, fresh.set), f"B(W) at iterate {iterate[0]}"
-            assert list(got.per_action) == list(fresh.per_action)
+    @pytest.mark.parametrize("name", [run[0] for run in RUNS if run[0] != "pd delta=0.9 theta=0"])
+    def test_each_application(self, pinned_runs, name):
+        game_file = next(file for run_name, file, *_ in RUNS if run_name == name)
+        game = parse_game((GAMES / game_file).read_text())
+        rep = pinned_runs[name]
+        delta, theta, tol = rep.config.delta, rep.config.theta, rep.tolerances
+        systems = compiled = aps.compile_profiles(game, delta)
+        for prev, t in zip(rep.trace, rep.trace[1:]):
+            k, w = t.iteration, PolygonV(prev.vertices)
+            if prev.enforceable:  # none at k = 1, which computes every compiled profile
+                systems = tuple(s if ok else None for s, ok in zip(compiled, prev.enforceable.values()))
+            got = apply_B(game, delta, w, theta, tol, systems)
+            fresh = apply_B(game, delta, w, theta, tol)
+            assert list(got.per_action) == list(fresh.per_action) == list(game.profile_keys)
             for label, p in got.per_action.items():
-                assert byte_equal(p, fresh.per_action[label]), f"P{label} at iterate {iterate[0]}"
-            return got
-
-        monkeypatch.setattr(aps, "enforceable_payoffs", spying)
-        monkeypatch.setattr(aps, "apply_B", comparing)
-        rep = solve(game, pinned.config)
-        assert iterate[0] == rep.iterations == pinned.iterations and none_slots[0] == skipped
-        assert all(len(t.enforceable) == len(list(game.profiles())) for t in rep.trace[1:])
-        # the trace lists, per application, the profiles it computed
-        label_of = dict(zip(game.profiles(), game.profile_keys))
-        for k, t in enumerate(rep.trace):
-            assert list(t.pivots) == [label_of[a] for j, a, _ in calls if j == k], f"application {k}"
-        first_empty = {}
-        for k, a, empty in calls:
-            assert a not in first_empty, f"P{a} computed at iterate {k}, after it was empty at {first_empty.get(a)}"
-            if empty:
-                first_empty[a] = k
+                assert byte_equal(p, fresh.per_action[label]), f"P{label} at application {k}"
+            assert list(t.pivots) == [lab for lab, s in zip(game.profile_keys, systems) if s is not None]
+            assert got.pivots == t.pivots == {lab: fresh.pivots[lab] for lab in t.pivots}, f"application {k}"
+            assert t.enforceable == {lab: not p.is_empty for lab, p in got.per_action.items()}
+            assert byte_equal(intersect_polygons(got.set, w, tol), PolygonV(t.vertices)), f"iterate {k}"
+            assert t.area_diff >= -1e-9, f"area grew at iterate {k}"

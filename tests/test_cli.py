@@ -238,45 +238,6 @@ class TestOutputErrors:
         assert rows[1]["stop_reason"] == "area_epsilon"
 
 
-class TestDeterminism:
-    def test_identical_runs_byte_identical_modulo_timing(
-        self, tmp_path, pd_game_path
-    ):
-        import subprocess
-        import sys
-
-        outs = []
-        for tag in ("a", "b"):
-            out = tmp_path / tag
-            cmd = [
-                sys.executable, "-m", "ppesolve.cli", "solve",
-                "--game", str(pd_game_path), *PD_ARGS, "--out", str(out),
-            ]
-            proc = subprocess.run(cmd, capture_output=True, text=True)
-            assert proc.returncode == 0, proc.stderr
-            outs.append(out)
-
-        def masked_json(p):
-            doc = json.loads((p / "report.json").read_text())
-            for t in doc["trace"]:
-                t["wall_ms"] = None
-            return json.dumps(doc, sort_keys=True)
-
-        def masked_csv(p):
-            rows = []
-            with open(p / "trace.csv", newline="") as f:
-                for row in csv.DictReader(f):
-                    row["wall_ms"] = ""
-                    rows.append(tuple(row.items()))
-            return rows
-
-        assert masked_json(outs[0]) == masked_json(outs[1])
-        assert masked_csv(outs[0]) == masked_csv(outs[1])
-        assert (outs[0] / "final.svg").read_bytes() == (
-            outs[1] / "final.svg"
-        ).read_bytes()
-
-
 def test_solve_path_loads_no_scipy(cournot_game_path):
     """Only verify_enforceability needs scipy: importing the package and
     the CLI and running a whole solve must not load it."""

@@ -11,7 +11,6 @@ from ppesolve.game import (
     minmax,
     parse_game,
     pure_nash,
-    serialize_game,
 )
 from ppesolve.geometry import contains_point
 
@@ -131,14 +130,6 @@ class TestParse:
         with pytest.raises(GameFormatError, match="more than 4 signals"):
             parse_game(json.dumps(five_signals))
 
-    def test_round_trip(self, pd_game, cournot_game):
-        for g in (pd_game, cournot_game):
-            g2 = parse_game(serialize_game(g))
-            assert g2.action_labels == g.action_labels
-            assert g2.signal_labels == g.signal_labels
-            assert np.array_equal(g2.payoffs, g.payoffs)
-            assert np.array_equal(g2.signal_probs, g.signal_probs)
-
 
 class TestMinmax:
     def test_pd(self, pd_game):
@@ -222,7 +213,7 @@ class TestPayoffSets:
             [(0, 0), (8 / 3, 0), (2, 2), (0, 8 / 3)],
             1e-9,
         )
-        assert not pair.ir_empty
+        assert not pair.individually_rational.is_empty
 
     def test_w0_singleton_when_only_nash_is_rational(self):
         # minmax is (0, 0) and every other payoff is negative in both
