@@ -32,6 +32,22 @@ from test_shadow import reference
 
 CC, CD, DC, DD = (0, 0), (0, 1), (1, 0), (1, 1)
 STOP_REASONS = {"area_epsilon", "hausdorff_epsilon", "max_iter", "empty_set"}
+# the pinned runs whose applications are replayed from their traces, by
+# test id; exact PD is left out, as replaying it costs a second solve of
+# several seconds
+REPLAYED = {
+    "pd theta=0.02": "pd delta=0.9 theta=0.02",
+    "cournot-collapse": "cournot delta=0.5 theta=0",
+    "cournot-patient": "cournot-patient delta=0.9 theta=0.05",
+    **{name: name for name in ("pd delta=0.5 theta=0", "cournot delta=0.9 theta=0.05", "cournot delta=0.9 theta=0")},
+}
+
+
+def replayed(pinned_runs, run):
+    """The game and the pinned report of a replayed run."""
+    name = REPLAYED[run]
+    game_file = next(file for run_name, file, *_ in RUNS if run_name == name)
+    return parse_game((GAMES / game_file).read_text()), pinned_runs[name]
 
 
 def payoffs(game, a, delta, w, tol=DEFAULT_TOL):
@@ -265,7 +281,7 @@ class TestApplyB:
 
 class TestCompiledProfiles:
     """solve compiles each profile's system once; every iterate then does
-    only the W-dependent work."""
+    only the W-dependent work, with the result a fresh call gives."""
 
     def test_ic_rows_built_once_per_profile(self, cournot_game, monkeypatch):
         """Each profile compiles once, and P(a) is computed only while it
@@ -301,6 +317,22 @@ class TestCompiledProfiles:
         copy = aps.ProfileSystem(normals, system.ic_offsets, system.folded, system.norm, system.weights, system.c)
         normals[0] = 0.0
         assert copy.normals.tobytes() == system.normals.tobytes()
+
+    @pytest.mark.parametrize("run", REPLAYED)
+    def test_compiled_matches_fresh_call(self, pinned_runs, run):
+        """Each application that the trace records is what a fresh
+        `apply_B`, compiling its own systems, gives on the iterate before:
+        the pivots of the profiles computed, the enforceable flags, and
+        the iterate, B(W) clipped by W, byte for byte."""
+        game, rep = replayed(pinned_runs, run)
+        delta, theta, tol = rep.config.delta, rep.config.theta, rep.tolerances
+        for prev, t in zip(rep.trace, rep.trace[1:]):
+            k, w = t.iteration, PolygonV(prev.vertices)
+            fresh = apply_B(game, delta, w, theta, tol)
+            assert t.pivots == {lab: fresh.pivots[lab] for lab in t.pivots}, f"application {k}"
+            assert t.enforceable == {lab: not p.is_empty for lab, p in fresh.per_action.items()}
+            assert byte_equal(intersect_polygons(fresh.set, w, tol), PolygonV(t.vertices)), f"iterate {k}"
+            assert t.area_diff >= -1e-9, f"area grew at iterate {k}"
 
 
 class TestProfileSystemOnPinnedIterates:
@@ -603,24 +635,19 @@ class TestDiagonalClosedForm:
             assert not p.is_empty and contains_polygon(image, p, 1e-7), f"trial {trial}, extra row"
 
 
-class TestTraceReplay:
-    """Each application of a pinned run is what `apply_B` gives on the
-    last iterate of its trace, read from the trace alone.
+class TestMonotoneSkip:
+    """Once P(a) is empty, solve does not compute it again, and each
+    application gives what a fresh one gives, read from the trace alone.
 
     The run's compiled systems, with None for each profile whose P(a)
     the last application found empty, give every P(a) byte for byte as
     a call that compiles its own does: a profile skipped after it came
     back empty would be empty again, since the operator is monotone and
-    each iterate lies in the last.  The trace lists exactly the profiles
-    computed, with the pivots of their walks, and its iterate is B(W)
-    clipped by W.  Exact PD is left out, as replaying it costs a second
-    solve of several seconds."""
+    each iterate lies in the last."""
 
-    @pytest.mark.parametrize("name", [run[0] for run in RUNS if run[0] != "pd delta=0.9 theta=0"])
-    def test_each_application(self, pinned_runs, name):
-        game_file = next(file for run_name, file, *_ in RUNS if run_name == name)
-        game = parse_game((GAMES / game_file).read_text())
-        rep = pinned_runs[name]
+    @pytest.mark.parametrize("run", REPLAYED)
+    def test_skip_matches_fresh_application(self, pinned_runs, run):
+        game, rep = replayed(pinned_runs, run)
         delta, theta, tol = rep.config.delta, rep.config.theta, rep.tolerances
         systems = compiled = aps.compile_profiles(game, delta)
         for prev, t in zip(rep.trace, rep.trace[1:]):
@@ -632,8 +659,6 @@ class TestTraceReplay:
             assert list(got.per_action) == list(fresh.per_action) == list(game.profile_keys)
             for label, p in got.per_action.items():
                 assert byte_equal(p, fresh.per_action[label]), f"P{label} at application {k}"
+            # the trace lists exactly the profiles computed, with their walks' pivots
             assert list(t.pivots) == [lab for lab, s in zip(game.profile_keys, systems) if s is not None]
-            assert got.pivots == t.pivots == {lab: fresh.pivots[lab] for lab in t.pivots}, f"application {k}"
-            assert t.enforceable == {lab: not p.is_empty for lab, p in got.per_action.items()}
-            assert byte_equal(intersect_polygons(got.set, w, tol), PolygonV(t.vertices)), f"iterate {k}"
-            assert t.area_diff >= -1e-9, f"area grew at iterate {k}"
+            assert got.pivots == t.pivots, f"application {k}"
